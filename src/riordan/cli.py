@@ -82,7 +82,7 @@ def _cmd_power(args) -> int:
 
 def _cmd_comp_poly(args) -> int:
     g = _series(args.g, args.rows)
-    mat = composition_matrix(g, method=args.method)
+    mat = composition_matrix(g)
     _emit(args, format_triangle(mat.triangle, args.format, args.header))
     return 0
 
@@ -213,9 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--g", required=True)
     p.add_argument("--rows", type=_positive, default=11)
-    p.add_argument(
-        "--method", choices=("definition", "recurrence"), default="definition"
-    )
     _add_common(p)
     p.set_defaults(func=_cmd_comp_poly)
 

@@ -133,7 +133,6 @@ class RiordanMatrix:
         """Group inverse; requires invertible f(0) and g(0)."""
         wbar = self.xg(extend=True).revert()
         f = 1 / self.f.compose(wbar)
-        g = wbar.shift_down(1)
         ginv = 1 / self.g.compose(wbar)
         # second component of the inverse is revert(xg) = x * (1/g(wbar))
         return RiordanMatrix(f, ginv, self.kind)

@@ -19,6 +19,10 @@ explicit coefficient lists::
 ``coeffs([a0,a1,...])`` is the polynomial with those coefficients
 (entries may be signed ``p/q`` rationals).  Parse errors carry the
 byte offset and the set of tokens that would have been accepted.
+
+Both the tree depth and the parenthesis nesting are at most
+``EXPR_DEPTH_LIMIT``; deeper input is a ParseError, not a RecursionError
+in the parser, the evaluator or the renderer.
 """
 
 from __future__ import annotations
@@ -40,12 +44,15 @@ __all__ = [
     "Sqrt",
     "NamedSeries",
     "CoeffList",
+    "EXPR_DEPTH_LIMIT",
     "ParseError",
     "EvalError",
     "parse_expr",
     "eval_expr",
     "render_expr",
 ]
+
+EXPR_DEPTH_LIMIT = 100  # each group costs ~6 parser frames of the default 1000
 
 
 class ParseError(ValueError):
@@ -158,6 +165,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.open = 0  # parenthesised groups around the current token
 
     @property
     def current(self) -> _Token:
@@ -176,37 +184,60 @@ class _Parser:
         return tok
 
     def parse(self) -> Expr:
-        node = self.expr()
+        node, _ = self.expr()
         if self.current.kind != "end":
             self._fail("operator", "end of input")
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def _deeper(self, depth: int) -> int:
+        """One level deeper; grammar rules return (node, tree depth)."""
+        if depth >= EXPR_DEPTH_LIMIT:
+            self._fail(f"at most {EXPR_DEPTH_LIMIT} levels of nesting")
+        return depth + 1
+
+    def _group(self) -> tuple[Expr, int]:
+        """An expr inside '(' ... ')'; fails before recursing too deep."""
+        self.open = self._deeper(self.open)
+        self._eat("(")
+        node, depth = self.expr()
+        self._eat(")")
+        self.open -= 1
+        return node, depth
+
+    def expr(self) -> tuple[Expr, int]:
+        node, depth = self.term()
         while self.current.kind in "+-":
             op = self._eat(self.current.kind).kind
-            node = BinOp(op, node, self.term())
-        return node
+            right, rdepth = self.term()
+            node = BinOp(op, node, right)
+            depth = self._deeper(max(depth, rdepth))
+        return node, depth
 
-    def term(self) -> Expr:
-        node = self.unary()
+    def term(self) -> tuple[Expr, int]:
+        node, depth = self.unary()
         while self.current.kind in "*/":
             op = self._eat(self.current.kind).kind
-            node = BinOp(op, node, self.unary())
-        return node
+            right, rdepth = self.unary()
+            node = BinOp(op, node, right)
+            depth = self._deeper(max(depth, rdepth))
+        return node, depth
 
-    def unary(self) -> Expr:
-        if self.current.kind == "-":
+    def unary(self) -> tuple[Expr, int]:
+        signs = 0
+        while self.current.kind == "-":
             self._eat("-")
-            return Neg(self.unary())
-        return self.power()
+            signs += 1
+        node, depth = self.power()
+        for _ in range(signs):
+            node, depth = Neg(node), self._deeper(depth)
+        return node, depth
 
-    def power(self) -> Expr:
-        node = self.primary()
+    def power(self) -> tuple[Expr, int]:
+        node, depth = self.primary()
         while self.current.kind == "^":
             self._eat("^")
-            node = Pow(node, self._signed_int())
-        return node
+            node, depth = Pow(node, self._signed_int()), self._deeper(depth)
+        return node, depth
 
     def _signed_int(self) -> int:
         sign = 1
@@ -217,11 +248,7 @@ class _Parser:
         return sign * int(tok.text)
 
     def _rational(self) -> Fraction:
-        sign = 1
-        if self.current.kind == "-":
-            self._eat("-")
-            sign = -1
-        num = int(self._eat("num").text)
+        num = self._signed_int()
         if self.current.kind == "/":
             self._eat("/")
             den_tok = self._eat("num")
@@ -231,37 +258,32 @@ class _Parser:
                     len(self.text[: den_tok.offset].encode()),
                     ("nonzero denominator",),
                 )
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
+            return Fraction(num, den)
+        return Fraction(num)
 
-    def primary(self) -> Expr:
+    def primary(self) -> tuple[Expr, int]:
         tok = self.current
         if tok.kind == "num":
             self._eat("num")
-            return Lit(Fraction(int(tok.text)))
+            return Lit(Fraction(int(tok.text))), 1
         if tok.kind == "(":
-            self._eat("(")
-            node = self.expr()
-            self._eat(")")
-            return node
+            return self._group()
         if tok.kind == "name":
             if tok.text not in _NAMES:
                 self._fail(*sorted(_NAMES))
             self._eat("name")
             if tok.text == "x":
-                return Var()
+                return Var(), 1
             if tok.text in _PLAIN_SERIES:
-                return NamedSeries(tok.text)
+                return NamedSeries(tok.text), 1
             if tok.text == "sqrt":
-                self._eat("(")
-                node = self.expr()
-                self._eat(")")
-                return Sqrt(node)
+                node, depth = self._group()
+                return Sqrt(node), self._deeper(depth)
             if tok.text == "binom_series":
                 self._eat("(")
                 r = self._signed_int()
                 self._eat(")")
-                return NamedSeries("binom_series", r)
+                return NamedSeries("binom_series", r), 1
             # coeffs([a0, a1, ...])
             self._eat("(")
             self._eat("[")
@@ -271,7 +293,7 @@ class _Parser:
                 values.append(self._rational())
             self._eat("]")
             self._eat(")")
-            return CoeffList(tuple(values))
+            return CoeffList(tuple(values)), 1
         self._fail("integer", "x", "(", "-", *sorted(_NAMES - {"x"}))
 
 

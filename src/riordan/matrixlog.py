@@ -1,15 +1,14 @@
 """Logarithms and parametric powers of Bell-pair matrices (g, xg).
 
-For g with g(0) = 1 the matrix (g, xg) has a unit diagonal, so
-(g, xg) - I is nilpotent at any finite truncation and the logarithm is
-a terminating sum.  Powers with arbitrary (even formal) exponents come
-from exponentiating a scaled logarithm; the columns of the resulting
-generating matrix are (1/n!) log^n applied to the unit column, and its
+For g with g(0) = 1, K = (g, xg) - I is nilpotent at any finite
+truncation.  Everything here derives, in one direction, from the log
+generator b: ``log_generator`` sums column 0 of log(g, xg) as
+sum_{p>=1} (-1)^(p-1)/p K^p e_0 and divides it by x; ``bell_log``
+fills log(g, xg) = (b(x), x) D^T, entry (i, m) = (m+1) b_(i-m-1)
+(Jabotinsky, "Analytic iteration", Trans. AMS 1963); and
+``composition_matrix`` has column m = (1/m!) log(g, xg)^m e_0, whose
 rows, read as polynomials, interpolate the coefficients of g^(phi).
-
-The logarithm factors as (b(x), x) D^T for a generator series b(x);
-the closed composition-sum formula rebuilds the row polynomials from
-b alone.
+The closed composition-sum formula rebuilds those rows from b alone.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from fractions import Fraction
 from math import factorial
 
 from .core import ConsistencyError, RiordanMatrix
-from .rings import ONE, ParamPoly
+from .rings import ONE, ZERO, ParamPoly
 from .series import Series
 from .triangle import Triangle
 
@@ -39,33 +38,64 @@ def _prepare(g: Series, order: int | None) -> Series:
     return g
 
 
-def bell_log(g: Series, order: int | None = None) -> Triangle:
-    """Matrix logarithm of (g, xg) via the nilpotent power series."""
+def _scaled_powers(tri: Triangle, j: int = 0) -> list:
+    """tri^p e_j / p! for p = 0 .. n-1-j, for strictly lower-triangular
+    tri (higher powers vanish), one mat-vec product each."""
+    vecs = [[ONE if i == j else ZERO for i in range(tri.nrows)]]
+    for p in range(1, tri.nrows - j):
+        vecs.append([v / p for v in tri.apply_vec(vecs[-1])])
+    return vecs
+
+
+def _from_columns(cols: list) -> Triangle:
+    n = len(cols)
+    return Triangle([[cols[m][i] for m in range(i + 1)] for i in range(n)])
+
+
+def log_generator(g: Series, order: int | None = None) -> Series:
+    """The series b with log(g, xg) = (b(x), x) D^T: column 0 of the log
+    divided by x, verified by b(0) = g'(0) and g^2 b(xg) = b (xg)'."""
     g = _prepare(g, order)
     n = g.order
-    tri = RiordanMatrix(g, g).triangle()
-    k = tri.add(Triangle.identity(n).scale(-1))
-    acc = k
-    term = k
-    for p in range(2, n):
-        term = term.matmul(k)
-        if term.is_zero():
+    k = RiordanMatrix(g, g).triangle().add(Triangle.identity(n).scale(-1))
+    col, vec = [ZERO] * n, [ONE] + [ZERO] * (n - 1)
+    for p in range(1, n):
+        vec = k.apply_vec(vec)
+        if not any(vec):
             break
-        acc = acc.add(term.scale(Fraction((-1) ** (p - 1), p)))
-    return acc
+        col = [c + Fraction((-1) ** (p - 1), p) * v for c, v in zip(col, vec)]
+    b = Series(col, n).shift_down(1)
+    if n >= 2 and b[0] != g[1]:
+        raise ConsistencyError("log generator: b(0) != g'(0)")
+    if n >= 3:
+        m = b.order  # n - 1
+        xg = g.truncate(m).shift_up(1, extend=True)
+        lhs = g.truncate(m) ** 2 * b.compose(xg)
+        rhs = b * xg.derivative()
+        if lhs != rhs:
+            raise ConsistencyError(
+                "log generator fails g^2 b(xg) = b (xg)'"
+            )
+    return b
+
+
+def bell_log(g: Series, order: int | None = None) -> Triangle:
+    """Matrix logarithm of (g, xg): entry (i, m) is (m+1) b_(i-m-1)."""
+    g = _prepare(g, order)
+    n = g.order
+    if n == 1:
+        return Triangle([[0]])
+    b = log_generator(g)
+    return Triangle(
+        [[(m + 1) * b[i - m - 1] if i > m else ZERO for m in range(i + 1)]
+         for i in range(n)]
+    )
 
 
 def triangle_exp(tri: Triangle) -> Triangle:
     """Matrix exponential of a strictly lower-triangular array."""
-    n = tri.nrows
-    acc = Triangle.identity(n)
-    term = Triangle.identity(n)
-    for p in range(1, n):
-        term = term.matmul(tri)
-        if term.is_zero():
-            break
-        acc = acc.add(term.scale(Fraction(1, factorial(p))))
-    return acc
+    terms = [_scaled_powers(tri, j) for j in range(tri.nrows)]
+    return _from_columns([[sum(t) for t in zip(*vecs)] for vecs in terms])
 
 
 @dataclass(frozen=True)
@@ -92,66 +122,15 @@ class CompositionMatrix:
 
 
 def composition_matrix(
-    g: Series, order: int | None = None, method: str = "definition"
+    g: Series, order: int | None = None
 ) -> CompositionMatrix:
     """The matrix of composition polynomials of g.
 
-    ``method="definition"`` builds columns from powers of the matrix
-    logarithm; ``method="recurrence"`` rebuilds column n from column
-    n-1 via  col_n = (1/n) b(x) D^T col_{n-1}  with D^T: x^k -> (k+1)
-    x^{k+1}.  Both agree entrywise.
+    Column m is (1/m!) log(g, xg)^m e_0, computed as (1/m) log(g, xg)
+    applied to column m-1.
     """
     g = _prepare(g, order)
-    n = g.order
-    if method == "definition":
-        log = bell_log(g)
-        cols = []
-        v = [ONE] + [Fraction(0)] * (n - 1)
-        cols.append(v)
-        for m in range(1, n):
-            v = [c / m for c in log.apply_vec(v)]
-            cols.append(v)
-    elif method == "recurrence":
-        b = log_generator(g)
-        col = Series([ONE], n)
-        cols = [list(col.coeffs)]
-        for m in range(1, n):
-            up = Series(
-                [Fraction(0)]
-                + [(k + 1) * col.coeffs[k] for k in range(n - 1)],
-                n,
-            )
-            col = (b.pad_zeros(n) * up) / m
-            cols.append(list(col.coeffs))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    rows = [[cols[m][i] for m in range(i + 1)] for i in range(n)]
-    return CompositionMatrix(Triangle(rows), g)
-
-
-def log_generator(g: Series, order: int | None = None) -> Series:
-    """The series b with log(g, xg) = (b(x), x) D^T.
-
-    Computed as column 0 of the logarithm divided by x, then verified:
-    b(0) must equal g'(0), and b must satisfy
-    g(x)^2 b(xg(x)) = b(x) (xg(x))'.
-    """
-    g = _prepare(g, order)
-    n = g.order
-    log = bell_log(g)
-    b = log.column(0).shift_down(1)
-    if n >= 2 and b[0] != g[1]:
-        raise ConsistencyError("log generator: b(0) != g'(0)")
-    if n >= 3:
-        m = b.order  # n - 1
-        xg = g.truncate(m).shift_up(1, extend=True)
-        lhs = g.truncate(m) ** 2 * b.compose(xg)
-        rhs = b * xg.derivative()
-        if lhs != rhs:
-            raise ConsistencyError(
-                "log generator fails g^2 b(xg) = b (xg)'"
-            )
-    return b
+    return CompositionMatrix(_from_columns(_scaled_powers(bell_log(g))), g)
 
 
 def bell_power(g: Series, phi, order: int | None = None) -> Series:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from riordan import Series, Triangle
+from riordan import RiordanMatrix, Series, Triangle
 
 
 def S(values, order=None):
@@ -35,6 +35,23 @@ def rows_of(tri, count=None):
 def poly_coeffs(p):
     """ParamPoly coefficients as a plain list (degree-indexed)."""
     return [int(c) if c.denominator == 1 else c for c in p.coeffs]
+
+
+def bell_log_oracle(g):
+    """log(g, xg) by its definition, the nilpotent series
+    sum_{p>=1} (-1)^(p-1)/p K^p with K = (g, xg) - I, in full triangle
+    products (O(n^4)).  Reference for the library's ``bell_log``,
+    ``log_generator`` and ``composition_matrix``, which derive the log
+    from its generator series instead."""
+    n = g.order
+    k = RiordanMatrix(g, g).triangle().add(Triangle.identity(n).scale(-1))
+    acc = term = k
+    for p in range(2, n):
+        term = term.matmul(k)
+        if term.is_zero():
+            break
+        acc = acc.add(term.scale(Fraction((-1) ** (p - 1), p)))
+    return acc
 
 
 @pytest.fixture

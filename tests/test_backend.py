@@ -109,34 +109,42 @@ class TestSelection:
         assert Path(path).is_relative_to(built_lib)
         assert name == "compiled"
 
-    def test_env_override_forces_pure(self):
-        env = dict(os.environ, RIORDAN_PURE="1")
+    def test_env_override_forces_pure(self, built_lib):
+        # The built tree holds the extension, so "pure" here can only
+        # come from the RIORDAN_PURE opt-out.
         out = subprocess.run(
-            [sys.executable, "-c", "import riordan; print(riordan.backend_name())"],
+            [
+                sys.executable,
+                "-c",
+                "import riordan; print(riordan.backend_name()); "
+                "print(riordan.__file__)",
+            ],
             capture_output=True,
             text=True,
-            env=env,
+            env=dict(built_env(built_lib), RIORDAN_PURE="1"),
             cwd=ROOT,
-            check=True,
         )
-        assert out.stdout.strip() == "pure"
+        assert out.returncode == 0, out.stderr
+        name, path = out.stdout.split()
+        assert Path(path).is_relative_to(built_lib)
+        assert name == "pure"
 
-    def test_pure_backend_computes_same_triangle(self):
+    def test_pure_backend_computes_same_triangle(self, built_lib):
         script = (
-            "from riordan import RiordanMatrix, geometric\n"
+            "from riordan import RiordanMatrix, backend_name, geometric\n"
             "from riordan.render import format_triangle\n"
+            "assert backend_name() == 'pure'\n"
             "m = RiordanMatrix(geometric(8), geometric(8))\n"
             "print(format_triangle(m.triangle(), 'csv'))\n"
         )
-        env = dict(os.environ, RIORDAN_PURE="1")
         out = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True,
             text=True,
-            env=env,
+            env=dict(built_env(built_lib), RIORDAN_PURE="1"),
             cwd=ROOT,
-            check=True,
         )
+        assert out.returncode == 0, out.stderr
         from riordan.render import format_triangle
 
         here = format_triangle(

@@ -133,17 +133,6 @@ class TestCompPoly:
         assert code == 0
         assert out == format_triangle(T(RNA_BCOMP_ROWS)) + "\n"
 
-    def test_methods_agree(self, capsys):
-        code, first, _ = run(capsys, "comp-poly", "--g", "catalan", "--rows", "9")
-        assert code == 0
-        code, second, _ = run(
-            capsys,
-            "comp-poly", "--g", "catalan", "--rows", "9",
-            "--method", "recurrence",
-        )
-        assert code == 0
-        assert first == second
-
 
 class TestBComp:
     def test_geometric_matches_comp_poly(self, capsys):
@@ -338,6 +327,19 @@ class TestErrorHandling:
         assert code == 2
         assert out == ""
         assert err.startswith("error: syntax error at byte 2: expected ")
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["(" * 3000 + "x" + ")" * 3000, "1+" + "-" * 3000 + "x", "1" + "+x" * 3000],
+        ids=["nested-parens", "minus-chain", "long-sum"],
+    )
+    def test_deep_expression_is_input_error(self, capsys, expr):
+        code, out, err = run(capsys, "matrix", "--g", expr)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: syntax error at byte ")
+        assert "levels of nesting" in err
 
     def test_eval_error_exit_code(self, capsys):
         code, _, err = run(capsys, "power", "--g", "1/x")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import S
 from riordan import binomial_series, catalan, geometric, rna_series
 from riordan.exprparse import (
+    EXPR_DEPTH_LIMIT,
     BinOp,
     CoeffList,
     EvalError,
@@ -129,6 +130,26 @@ class TestParseErrors:
             parse_expr("coeffs(1,2)")
         assert exc.value.offset == 7
         assert exc.value.expected == ("[",)
+
+    def test_depth_limit(self):
+        # Trees exactly EXPR_DEPTH_LIMIT deep parse, one level more fails;
+        # parentheses nest at most EXPR_DEPTH_LIMIT deep.
+        deep = EXPR_DEPTH_LIMIT
+        for ok, bad in [
+            ("x" + "+x" * (deep - 1), "x" + "+x" * deep),
+            ("-" * (deep - 1) + "x", "-" * deep + "x"),
+            ("x" + "^2" * (deep - 1), "x" + "^2" * deep),
+            ("sqrt(" * (deep - 1) + "x)" + ")" * (deep - 2),
+             "sqrt(" * deep + "x)" + ")" * (deep - 1)),
+            ("(" * deep + "x" + ")" * deep, "(" * (deep + 1) + "x" + ")" * (deep + 1)),
+        ]:
+            tree = parse_expr(ok)
+            assert parse_expr(render_expr(tree)) == tree
+            with pytest.raises(ParseError) as exc:
+                parse_expr(bad)
+            assert exc.value.expected == (
+                f"at most {EXPR_DEPTH_LIMIT} levels of nesting",
+            )
 
     def test_power_needs_integer(self):
         with pytest.raises(ParseError) as exc:

@@ -1,6 +1,7 @@
 """Matrix logarithms and parametric powers of Bell pairs (g, xg)."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -14,6 +15,7 @@ from riordan import (
     catalan,
     composition_matrix,
     composition_sum,
+    from_b_sequence,
     geometric,
     log_generator,
     one_series,
@@ -21,7 +23,7 @@ from riordan import (
     triangle_exp,
     x_series,
 )
-from conftest import S, rows_of
+from conftest import S, bell_log_oracle, rows_of
 
 F = Fraction
 
@@ -96,16 +98,6 @@ class TestCompositionMatrix:
         cm = composition_matrix(rna_series(11))
         assert rows_of(cm.triangle) == L_RNA_ROWS
 
-    def test_methods_agree(self):
-        for g in (rna_series(10), catalan(10)):
-            a = composition_matrix(g, method="definition")
-            b = composition_matrix(g, method="recurrence")
-            assert a.triangle == b.triangle
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            composition_matrix(geometric(4), method="magic")
-
     def test_columns_are_scaled_log_powers(self):
         g = rna_series(8)
         cm = composition_matrix(g)
@@ -131,6 +123,54 @@ class TestCompositionMatrix:
         cm = composition_matrix(rna_series(8))
         assert cm.entry(5, 3) == 6
         assert cm.nrows == 8
+
+
+# Bell pairs for the oracle tests, by order; "even" is 1/(1-x^2), g_1 = 0.
+ORACLE_PAIRS = {
+    "rna": rna_series,
+    "catalan": catalan,
+    "catalan3": lambda n: catalan(n) ** 3,
+    "motzkin": lambda n: from_b_sequence(S([1, 1]), n).g,
+    "even": lambda n: Series([1 - k % 2 for k in range(n)], n),
+}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 8, 16])
+@pytest.mark.parametrize("name", sorted(ORACLE_PAIRS))
+class TestNilpotentSeriesOracle:
+    """Exact agreement with the log as the nilpotent series of K^p."""
+
+    def test_bell_log(self, name, order):
+        g = ORACLE_PAIRS[name](order)
+        assert bell_log(g).rows == bell_log_oracle(g).rows
+
+    def test_log_generator(self, name, order):
+        g = ORACLE_PAIRS[name](order)
+        if order == 1:  # column 0 of the log divided by x is empty
+            with pytest.raises(ValueError, match="empty series"):
+                log_generator(g)
+            return
+        want = bell_log_oracle(g).column(0).shift_down(1)
+        got = log_generator(g)
+        assert (got.order, got.coeffs) == (want.order, want.coeffs)
+
+    def test_composition_matrix(self, name, order):
+        # Column m is (1/m!) L^m e_0 for the oracle log L.
+        g = ORACLE_PAIRS[name](order)
+        log = bell_log_oracle(g)
+        vec = [F(1)] + [F(0)] * (order - 1)
+        cols = []
+        for m in range(order):
+            cols.append([v / factorial(m) for v in vec])
+            vec = log.apply_vec(vec)
+        want = tuple(
+            tuple(cols[m][i] for m in range(i + 1)) for i in range(order)
+        )
+        assert composition_matrix(g).triangle.rows == want
+
+    def test_exp_undoes_log(self, name, order):
+        g = ORACLE_PAIRS[name](order)
+        assert triangle_exp(bell_log_oracle(g)) == RiordanMatrix(g, g).triangle()
 
 
 class TestBellPower:
