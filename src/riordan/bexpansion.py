@@ -26,7 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, perm
 
-from .core import RiordanMatrix, from_b_sequence
 from .rings import ONE, ZERO, ParamPoly, binomial, falling_factorial
 from .series import Series, one_series, x_series
 from .triangle import Triangle
@@ -530,12 +529,12 @@ def rna_series(order: int, beta=1, phi=1) -> Series:
     """The power family of the RNA series, by its closed form.
 
     Solves g = 1 + x g phi/(1 - beta x^2 g); beta = 0 degenerates to
-    the geometric series in phi*x (handled by the B-function route).
+    the geometric series 1/(1 - phi x).
     """
     beta = Fraction(beta) if isinstance(beta, int) else beta
     phi = Fraction(phi) if isinstance(phi, int) else phi
     if not beta:
-        return from_b_sequence(Series([phi], 1), order).g
+        return 1 / Series([1, -phi], order)
     poly = Series([1, -phi, beta], order + 2)
     disc = poly * poly - Series([ZERO, ZERO, 4 * beta], order + 2)
     num = poly - disc.sqrt()

@@ -44,6 +44,13 @@ def _positive(text: str) -> int:
     return value
 
 
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be at least 0")
+    return value
+
+
 def _series(expr_text: str, order: int) -> Series:
     return eval_expr(parse_expr(expr_text), order)
 
@@ -125,6 +132,10 @@ def _cmd_sqrt_factor(args) -> int:
 
 
 def _cmd_diag(args) -> int:
+    if not 0 <= args.index < args.rows:
+        raise argparse.ArgumentTypeError(
+            f"--index must be from 0 to {args.rows - 1} for --rows {args.rows}"
+        )
     f = _series(args.f, args.rows)
     g = _series(args.g, args.rows)
     kind = EXPONENTIAL if args.exponential else ORDINARY
@@ -226,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bexpand", help="[x^n] g^phi as a polynomial in phi via B-sequence"
     )
     p.add_argument("--b", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonnegative, required=True)
     p.add_argument("--symbol", default="phi")
     _add_common(p)
     p.set_defaults(func=_cmd_bexpand)

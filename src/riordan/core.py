@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .rings import ONE, ZERO
+from .rings import ZERO
 from .series import Series, one_series
 from .triangle import Triangle
 
@@ -176,23 +176,25 @@ class RiordanMatrix:
     # -- pseudo-involution and B-sequence --------------------------------
 
     def is_pseudo_involution(self) -> bool:
-        """Whether the inverse equals the sign-conjugated matrix.
+        """Whether ``M (D M D) = I``, D the diagonal sign matrix.
 
-        Conjugation by the diagonal sign matrix sends (f, g) to
-        (f(-x), g(-x)); equality with the inverse is checked to the
-        stored order.
+        D M D = (f(-x), x g(-x)), so the product is (f * f(-xg),
+        xg * g(-xg)), and both factors must be 1 to the stored order.
+        A singular input (f(0) = 0 or g(0) = 0) fails at x^0.
         """
-        inv = self.inverse()
-        return inv.f == self.f.alternate() and inv.g == self.g.alternate()
+        one = one_series(self.order)
+        w = -self.xg()
+        if self.g * self.g.compose(w) != one:
+            return False
+        return self.f == self.g or self.f * self.f.compose(w) == one
 
     def b_sequence(self) -> Series:
         """Extract the B-sequence: g = 1 + x g * B(x^2 g).
 
-        The coefficients come from the column-0 recurrence of the
-        triangle of ``(g, xg)`` and are then verified against every
-        recurrence instance the truncation window can see, both on the
-        companion triangle and (for the crossed entries) on this
-        matrix's own triangle.
+        Such a B exists exactly for pseudo-involutions (Cheon, Kim &
+        Shapiro 2008), and then every column of (f, xg) obeys the B
+        recurrence.  B(u) = (g - 1)/(x g) with u = x^2 g: b_0 is its
+        constant term, and (B(u) - b_0)/u = b_1 + b_2 u + ... repeats.
         """
         if self.kind != ORDINARY:
             raise ValueError("B-sequences are defined for ordinary matrices")
@@ -205,35 +207,16 @@ class RiordanMatrix:
                 "no consistent B-sequence: the matrix is not a "
                 f"pseudo-involution to order {self.order}"
             )
-        bell = RiordanMatrix(self.g, self.g).triangle()
-        nrows = bell.nrows
-        terms: list[Fraction] = []
-        for t in range(0, (nrows - 2) // 2 + 1):
-            acc = bell.entry(2 * t + 1, 0)
-            for i in range(t):
-                acc -= terms[i] * bell.entry(2 * t - i, i)
-            diag = bell.entry(t, t)
-            terms.append(acc / diag)
-        self._verify_b(bell, terms, min_col=0)
-        if self.f != self.g:
-            self._verify_b(self.triangle(), terms, min_col=1)
+        if self.order < 2:
+            raise NoBSequenceError(
+                "no consistent B-sequence: a B-sequence needs order at least 2"
+            )
+        rest = (self.g - 1).shift_down(1) / self.g
+        terms = [rest[0]]
+        while rest.order > 2:
+            rest = (rest - terms[-1]).shift_down(2) / self.g
+            terms.append(rest[0])
         return Series(terms, len(terms))
-
-    def _verify_b(self, tri: Triangle, terms, min_col: int) -> None:
-        for n in range(tri.nrows - 1):
-            for m in range(min_col, n + 2):
-                lhs = tri.entry(n + 1, m)
-                acc = tri.entry(n, m - 1) if m >= 1 else ZERO
-                for i, b in enumerate(terms):
-                    if n - i < m + i:
-                        break
-                    if b:
-                        acc += b * tri.entry(n - i, m + i)
-                if lhs != acc:
-                    raise NoBSequenceError(
-                        "no consistent B-sequence: recurrence fails at "
-                        f"entry ({n + 1}, {m})"
-                    )
 
     # -- square-root factorization ---------------------------------------
 
@@ -294,16 +277,18 @@ def from_a_sequence(a, order: int) -> RiordanMatrix:
 def from_b_sequence(b, order: int, bell: bool = False) -> RiordanMatrix:
     """Pseudo-involution ``(1, xg)`` (or ``(g, xg)``) with B-sequence ``b``.
 
-    Solves g = 1 + x g * b(x^2 g) by iteration; ``b`` is read as a
-    polynomial (zero beyond its window).
+    ``b`` is read as a polynomial (zero beyond its window).  The
+    factorization (1, xg) = (1, x sqrt(g)) (1, xh) read backwards: the
+    odd series s = x b(x^2)/2 gives h = s + sqrt(1 + s^2), and then
+    x sqrt(g) = revert(x/h).
     """
     b = _as_series(b)
-    bpad = b.pad_zeros(order)
-    g = one_series(order)
-    x = Series([ZERO, ONE], order)
-    x2 = Series([ZERO, ZERO, ONE], order) if order > 2 else None
-    for _ in range(order):
-        arg = (x2 * g) if x2 is not None else Series([ZERO], order)
-        g = one_series(order) + x * g * bpad.compose(arg)
+    odd = [ZERO] * order
+    for k, c in zip(range(1, order, 2), b.coeffs):
+        odd[k] = c / 2
+    s = Series(odd, order)
+    h = s + (1 + s * s).sqrt()
+    root = (1 / h).shift_up(1, extend=True).revert().shift_down(1)
+    g = root * root
     f = g if bell else one_series(order)
     return RiordanMatrix(f, g)

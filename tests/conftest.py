@@ -9,7 +9,16 @@ from fractions import Fraction
 
 import pytest
 
-from riordan import RiordanMatrix, Series, Triangle
+from riordan import (
+    ORDINARY,
+    NoBSequenceError,
+    RiordanMatrix,
+    Series,
+    Triangle,
+    one_series,
+)
+from riordan.core import _as_series
+from riordan.rings import ONE, ZERO
 
 
 def S(values, order=None):
@@ -52,6 +61,80 @@ def bell_log_oracle(g):
             break
         acc = acc.add(term.scale(Fraction((-1) ** (p - 1), p)))
     return acc
+
+
+def is_pseudo_involution_oracle(m):
+    """Pseudo-involution test through the group inverse: M^-1 equals
+    the sign conjugate (f(-x), g(-x)).  Costs a ``revert``, two
+    ``compose`` and two divisions, and raises ``ZeroDivisionError`` on
+    a singular input.  Reference for ``is_pseudo_involution``."""
+    inv = m.inverse()
+    return inv.f == m.f.alternate() and inv.g == m.g.alternate()
+
+
+def _verify_b_oracle(tri, terms, min_col):
+    for n in range(tri.nrows - 1):
+        for m in range(min_col, n + 2):
+            lhs = tri.entry(n + 1, m)
+            acc = tri.entry(n, m - 1) if m >= 1 else ZERO
+            for i, b in enumerate(terms):
+                if n - i < m + i:
+                    break
+                if b:
+                    acc += b * tri.entry(n - i, m + i)
+            if lhs != acc:
+                raise NoBSequenceError(
+                    "no consistent B-sequence: recurrence fails at "
+                    f"entry ({n + 1}, {m})"
+                )
+
+
+def b_sequence_oracle(m):
+    """B-sequence from the column-0 recurrence
+    d(2t+1, 0) = sum_i b_i d(2t-i, i) of the triangle of (g, xg), then
+    checked entry by entry against every instance of
+    d(n+1, m) = d(n, m-1) + sum_i b_i d(n-i, m+i) in the window: on that
+    triangle and, when f != g, on columns m >= 1 of the triangle of m
+    (O(n^3) each).  Reference for ``RiordanMatrix.b_sequence``."""
+    if m.kind != ORDINARY:
+        raise ValueError("B-sequences are defined for ordinary matrices")
+    if m.g[0] != 1:
+        raise NoBSequenceError(
+            "no consistent B-sequence: g must have constant term 1"
+        )
+    if not is_pseudo_involution_oracle(m):
+        raise NoBSequenceError(
+            "no consistent B-sequence: the matrix is not a "
+            f"pseudo-involution to order {m.order}"
+        )
+    bell = RiordanMatrix(m.g, m.g).triangle()
+    nrows = bell.nrows
+    terms = []
+    for t in range(0, (nrows - 2) // 2 + 1):
+        acc = bell.entry(2 * t + 1, 0)
+        for i in range(t):
+            acc -= terms[i] * bell.entry(2 * t - i, i)
+        terms.append(acc / bell.entry(t, t))
+    _verify_b_oracle(bell, terms, min_col=0)
+    if m.f != m.g:
+        _verify_b_oracle(m.triangle(), terms, min_col=1)
+    return Series(terms, len(terms))
+
+
+def from_b_sequence_oracle(b, order, bell=False):
+    """Solve g = 1 + x g * b(x^2 g) by ``order`` rounds of fixed-point
+    iteration, each a full composition (O(n^4)).  Reference for
+    ``from_b_sequence``."""
+    b = _as_series(b)
+    bpad = b.pad_zeros(order)
+    g = one_series(order)
+    x = Series([ZERO, ONE], order)
+    x2 = Series([ZERO, ZERO, ONE], order) if order > 2 else None
+    for _ in range(order):
+        arg = (x2 * g) if x2 is not None else Series([ZERO], order)
+        g = one_series(order) + x * g * bpad.compose(arg)
+    f = g if bell else one_series(order)
+    return RiordanMatrix(f, g)
 
 
 @pytest.fixture

@@ -696,6 +696,13 @@ class TestRnaSeriesFamily:
         assert rna_series(10, beta=0, phi=1) == geometric(10)
         assert rna_series(10, beta=0, phi=3) == geometric(10).scale_arg(3)
 
+    @pytest.mark.parametrize("order", [1, 2, 8])
+    @pytest.mark.parametrize("phi", [0, 3, Fraction(-1, 2)])
+    def test_beta_zero_matches_b_solver(self, order, phi):
+        got = rna_series(order, beta=0, phi=phi)
+        want = from_b_sequence(Series([phi], 1), order).g
+        assert (got.order, got.coeffs) == (want.order, want.coeffs)
+
     def test_coefficients_interpolate_bcomp_rows(self):
         # R(beta, x) with B-function phi/(1 - beta x) matches the rows
         # of <B> for B = sum beta^k x^k.

@@ -172,6 +172,12 @@ class TestBExpand:
         assert code == 0
         assert out == "t\n"
 
+    def test_negative_n_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bexpand", "--b", "1", "--n", "-1"])
+        assert exc.value.code == 2
+        assert "--n: must be at least 0" in capsys.readouterr().err
+
 
 class TestSequences:
     def test_bseq_rna(self, capsys):
@@ -183,6 +189,20 @@ class TestSequences:
         code, out, err = run(capsys, "bseq", "--g", "catalan")
         assert code == 2
         assert "pseudo-involution" in err
+
+    def test_bseq_singular_f_is_not_pseudo_involution(self, capsys):
+        code, out, err = run(
+            capsys, "bseq", "--f", "x", "--g", "rna", "--order", "6"
+        )
+        assert code == 2
+        assert out == ""
+        assert "not a pseudo-involution" in err
+
+    def test_bseq_needs_order_two(self, capsys):
+        code, out, err = run(capsys, "bseq", "--g", "1", "--order", "1")
+        assert code == 2
+        assert out == ""
+        assert "a B-sequence needs order at least 2" in err
 
     def test_aseq_catalan(self, capsys):
         code, out, _ = run(capsys, "aseq", "--g", "catalan", "--order", "8")
@@ -244,6 +264,23 @@ class TestDiag:
         code, out, _ = run(capsys, "diag", "--g", "catalan", "--rows", "4")
         assert code == 0
         assert out == "1 1 1 1\n"
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--index", "-1"],
+            ["--index", "99999999"],
+            ["--direction", "up", "--index", "50"],
+            ["--rows", "4", "--index", "4"],
+        ],
+        ids=["negative", "huge", "up-past-rows", "at-rows"],
+    )
+    def test_index_out_of_range(self, capsys, extra):
+        code, out, err = run(capsys, "diag", "--g", "1+x", *extra)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: --index must be from 0 to ")
 
 
 class TestCheck:

@@ -9,6 +9,7 @@ from riordan import (
     EXPONENTIAL,
     FactorizationError,
     NoBSequenceError,
+    ParamPoly,
     RiordanMatrix,
     Series,
     catalan,
@@ -20,7 +21,13 @@ from riordan import (
     rna_series,
     x_series,
 )
-from conftest import S, rows_of
+from conftest import (
+    S,
+    b_sequence_oracle,
+    from_b_sequence_oracle,
+    is_pseudo_involution_oracle,
+    rows_of,
+)
 
 F = Fraction
 
@@ -223,6 +230,11 @@ class TestPseudoInvolution:
         m = from_a_sequence([1, 1, 1], 8)  # Motzkin Lagrange matrix
         assert not m.is_pseudo_involution()
 
+    def test_singular_input_is_not_pseudo_involution(self):
+        r = rna_series(8)
+        assert not RiordanMatrix(x_series(8), r).is_pseudo_involution()
+        assert not RiordanMatrix(r, x_series(8)).is_pseudo_involution()
+
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
     @settings(max_examples=25, deadline=None)
     def test_b_solver_output_is_always_pseudo_involution(self, bs):
@@ -283,6 +295,10 @@ class TestBSequence:
         with pytest.raises(NoBSequenceError, match="constant term 1"):
             RiordanMatrix(two, two).b_sequence()
 
+    def test_order_one_rejected(self):
+        with pytest.raises(NoBSequenceError, match="needs order at least 2"):
+            pascal(1).b_sequence()
+
     def test_exponential_kind_rejected(self):
         m = pascal().to_exponential()
         with pytest.raises(ValueError, match="ordinary"):
@@ -302,6 +318,106 @@ class TestBSequence:
                         break
                     acc += b[i] * tri.entry(n - i, j + i)
                 assert tri.entry(n + 1, j) == acc
+
+
+def _outcome(call):
+    """A result as comparable data: (order, coeffs) of a series, a bool,
+    or (exception type, message)."""
+    try:
+        r = call()
+    except Exception as exc:  # type and message are both compared
+        return type(exc), str(exc)
+    return (r.order, r.coeffs) if isinstance(r, Series) else r
+
+
+def _raised(outcome, exc_type):
+    return isinstance(outcome, tuple) and outcome[0] is exc_type
+
+
+def _pair(m):
+    return (m.f.order, m.f.coeffs, m.g.order, m.g.coeffs)
+
+
+B_ENTRIES = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+B_LISTS = st.lists(B_ENTRIES, min_size=1, max_size=5)
+ORDERS = range(1, 15)
+
+
+class TestDefiningIdentityOracles:
+    """Exact agreement with the definitions the identity-based routines
+    replaced (see ``conftest``).  The only divergences allowed: where
+    the oracle divides by a zero constant term the new code reports a
+    non-pseudo-involution, and at order 1 ``b_sequence`` names the
+    order instead of failing to build an empty series."""
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @given(bs=B_LISTS, bell=st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_from_b_sequence(self, order, bs, bell):
+        got = from_b_sequence(Series(bs), order, bell=bell)
+        want = from_b_sequence_oracle(Series(bs), order, bell=bell)
+        assert _pair(got) == _pair(want)
+
+    @pytest.mark.parametrize("order", [1, 2, 7, 8])
+    def test_from_b_sequence_param_poly(self, order):
+        phi = ParamPoly.param("phi")
+        b = Series([phi, F(1, 2), -phi], 3)
+        assert _pair(from_b_sequence(b, order, bell=True)) == _pair(
+            from_b_sequence_oracle(b, order, bell=True)
+        )
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @given(
+        bs=B_LISTS,
+        shape=st.sampled_from(["bell", "one", "square", "reciprocal"]),
+        perturb=st.one_of(
+            st.none(),
+            st.tuples(
+                st.sampled_from(["f", "g"]),
+                st.integers(0, 13),
+                st.sampled_from([-1, F(1, 2), 1, 3]),
+            ),
+        ),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_pseudo_involution_and_b_sequence(self, order, bs, shape, perturb):
+        g = from_b_sequence_oracle(Series(bs), order).g
+        f = {
+            "bell": g,
+            "one": one_series(order),
+            "square": g * g,
+            "reciprocal": 1 / g,
+        }[shape]
+        if perturb is not None:
+            which, k, c = perturb
+            bump = Series([0] * (k % order) + [c], order)
+            if which == "f":
+                f = f + bump
+            else:
+                g = g + bump
+        m = RiordanMatrix(f, g)
+
+        want = _outcome(lambda: is_pseudo_involution_oracle(m))
+        got = _outcome(m.is_pseudo_involution)
+        if _raised(want, ZeroDivisionError):
+            want = False
+        assert got == want
+
+        want = _outcome(lambda: b_sequence_oracle(m))
+        got = _outcome(m.b_sequence)
+        if _raised(want, ZeroDivisionError):
+            want = (
+                NoBSequenceError,
+                "no consistent B-sequence: the matrix is not a "
+                f"pseudo-involution to order {order}",
+            )
+        elif want == (ValueError, "series order must be at least 1"):
+            want = (
+                NoBSequenceError,
+                "no consistent B-sequence: a B-sequence needs order at "
+                "least 2",
+            )
+        assert got == want
 
 
 class TestSqrtFactorization:
