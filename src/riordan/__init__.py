@@ -16,7 +16,7 @@ Quick start::
     (Fraction(1, 1), Fraction(4, 1), Fraction(6, 1), Fraction(4, 1), Fraction(1, 1))
 """
 
-from ._backend import BACKEND, backend_name
+from ._backend import backend_name
 from .bexpansion import (
     PARTITION_N_LIMIT,
     BCompMatrix,
@@ -62,7 +62,6 @@ from .matrixlog import (
     composition_matrix,
     composition_sum,
     log_generator,
-    triangle_exp,
 )
 from .rings import ParamPoly, Rational, binomial, falling_factorial, format_rational
 from .series import (
@@ -82,7 +81,6 @@ from .triangle import Triangle
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BCompMatrix",
     "CheckResult",
     "COMPOSITION_N_LIMIT",
@@ -141,7 +139,6 @@ __all__ = [
     "rna_series",
     "run_all",
     "run_suite",
-    "triangle_exp",
     "x_series",
     "zeros",
 ]

@@ -1,30 +1,16 @@
-"""Kernel backend selection.
+"""The kernel module the series layer calls.
 
-The compiled extension ``_fastkernels`` is used when it imported
-successfully; otherwise the pure-Python reference kernels take over.
-Setting the environment variable ``RIORDAN_PURE`` to a non-empty value
-forces the pure kernels (useful for benchmarking and debugging).
+``kernels`` is :mod:`riordan._purekernels`, the one implementation of
+``mul``, ``div``, ``compose`` and ``revert``; ``backend_name`` names it.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import _purekernels
 
-if os.environ.get("RIORDAN_PURE"):
-    fast = None
-else:
-    try:
-        from . import _fastkernels as fast
-    except ImportError:
-        fast = None
-
-kernels = fast if fast is not None else _purekernels
-
-BACKEND = "compiled" if fast is not None else "pure"
+kernels = _purekernels
 
 
 def backend_name() -> str:
-    """Which kernel implementation is active: ``compiled`` or ``pure``."""
-    return BACKEND
+    """Which kernel implementation is active: always ``pure``."""
+    return "pure"

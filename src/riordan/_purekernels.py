@@ -1,24 +1,182 @@
-"""Reference kernels for truncated power-series arithmetic.
+"""Kernels for truncated power-series arithmetic.
 
 Each function operates on plain lists of coefficients of one fixed
 truncation length ``n`` (indices 0 .. n-1) and returns a new list of the
-same length.  The coefficients may be ``Fraction`` or any exact ring
-element supporting ``+``, ``-``, ``*`` and, where required, ``/`` by an
-invertible element; ``zero`` supplies the ring's additive identity.
+same length.  ``zero`` is the ring's additive identity, and its type
+picks the method:
 
-The compiled module ``_fastkernels`` implements the same four routines
-for ``Fraction`` coefficients only; ``_backend`` picks between the two
-at import time.  Both produce identical results.
+* ``Fraction`` coefficients run on integers.  Each input is put over one
+  common denominator, the lcm of its denominators, and the kernels work
+  on its integer numerators; a ``Fraction`` is built once per output
+  coefficient.  A product of integer vectors is one big-integer product
+  by Kronecker substitution: each vector is packed into one int, a
+  coefficient per digit, at a digit width that holds every coefficient
+  of the product, and the digits of the product are read back
+  (Schoenhage 1982; D. Harvey, "Faster polynomial multiplication via
+  multipoint Kronecker substitution", J. Symbolic Comput. 2009).
+* Any other exact ring (``ParamPoly`` coefficients) runs on the generic
+  loops ``generic_mul``, ``generic_div``, ``generic_compose`` and
+  ``generic_revert``, which need only ``+``, ``-``, ``*`` and division
+  by an invertible element.  They are also the reference the integer
+  routines are tested against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul as _times
 
 ZERO = Fraction(0)
 
 
 def mul(a: list, b: list, n: int, zero=ZERO) -> list:
+    """Product of two series truncated to length ``n``."""
+    if type(zero) is not Fraction:
+        return generic_mul(a, b, n, zero)
+    (x, dx), (y, dy) = _integers(a[:n]), _integers(b[:n])
+    return _fractions(_kronecker_mul(x, y, n), dx * dy)
+
+
+def div(a: list, b: list, n: int, zero=ZERO) -> list:
+    """Quotient ``a / b``; requires an invertible leading coefficient."""
+    if not b[0]:
+        raise ZeroDivisionError("division by a series with zero constant term")
+    if type(zero) is not Fraction:
+        return generic_div(a, b, n, zero)
+    (x, dx), (y, dy) = _integers(a[:n]), _integers(b[:n])
+    # a/b = (dy/dx) (x/y), and [x^k] x/y = num_k / y0^(k+1) with
+    # num_k = x_k y0^k - sum_{i=1..k} (y_i y0^(i-1)) num_(k-i)
+    y0 = y[0]
+    scaled, p = [], 1
+    for yi in y[1:]:
+        scaled.append(yi * p)
+        p *= y0
+    num, p = [], 1
+    for k in range(n):
+        num.append(x[k] * p - sum(map(_times, scaled, reversed(num))))
+        p *= y0
+    out, den = [], dx * y0
+    for v in num:
+        out.append(Fraction(v * dy, den))
+        den *= y0
+    return out
+
+
+def compose(a: list, b: list, n: int, zero=ZERO) -> list:
+    """Composition ``a(b(x))``; requires ``b[0] == 0``."""
+    if b[0]:
+        raise ValueError("composition requires an inner series with zero constant term")
+    if type(zero) is not Fraction:
+        return generic_compose(a, b, n, zero)
+    (x, dx), (y, dy) = _integers(a[:n]), _integers(b[:n])
+    # Horner from the top coefficient down.  out = sum_{i>=k} a_i b^(i-k)
+    # is held as integers over dx * dy^(n-1-k); b has valuation 1, so
+    # only its first n-k terms reach the result.
+    out, p = [x[-1]], 1
+    for k in range(n - 2, -1, -1):
+        p *= dy
+        out = _kronecker_mul(out, y, n - k)
+        out[0] += x[k] * p
+    return _fractions(out, dx * p)
+
+
+def revert(f: list, n: int, zero=ZERO) -> list:
+    """Compositional inverse: the series ``g`` with ``f(g(x)) = x``.
+
+    Requires ``f[0] == 0`` and ``f[1]`` invertible.
+    """
+    if f[0]:
+        raise ValueError("reversion requires zero constant term")
+    if not f[1]:
+        raise ZeroDivisionError("reversion requires an invertible linear coefficient")
+    if type(zero) is not Fraction:
+        return generic_revert(f, n, zero)
+    y, dy = _integers(f[:n])
+    y1 = y[1]
+    # powers[k][j] = [x^(j+k)] y^k, from the powers of y/x
+    shifted = y[1:]
+    powers = [None, shifted]
+    for k in range(2, n):
+        powers.append(_kronecker_mul(powers[-1], shifted, n - k))
+    # v = revert(y / y1) has x^m coefficient v_m = V_m / y1^(m-1) with V_m
+    # an integer (reversion coefficients are integer polynomials in the
+    # y_i / y1), and x = sum_k v_k (y / y1)^k gives
+    # V_m = -(sum_{k<m} V_k [x^m] y^k y1^(2(m-1-k))) / y1^(m-2).
+    # Then g(x) = v(x dy / y1).
+    out = [ZERO] * n
+    big_v = [None, 1]
+    square = y1 * y1
+    num, den, scale = dy, y1, 1  # dy^m, y1^(2m-1), y1^(m-2)
+    if n > 1:
+        out[1] = Fraction(num, den)
+    for m in range(2, n):
+        acc = 0
+        for k in range(1, m):
+            acc = acc * square + big_v[k] * powers[k][m - k]
+        big_v.append(-acc // scale)
+        scale *= y1
+        num *= dy
+        den *= square
+        out[m] = Fraction(big_v[m] * num, den)
+    return out
+
+
+# -- integer vectors ------------------------------------------------------
+
+
+def _integers(a: list) -> tuple[list, int]:
+    """Integer numerators of ``a`` over the lcm of its denominators."""
+    den = lcm(*[c.denominator for c in a])
+    if den == 1:
+        return [c.numerator for c in a], 1
+    return [c.numerator * (den // c.denominator) for c in a], den
+
+
+def _fractions(nums: list, den: int) -> list:
+    if den == 1:
+        return [Fraction(v) for v in nums]
+    return [Fraction(v, den) for v in nums]
+
+
+def _kronecker_mul(x: list, y: list, n: int) -> list:
+    """First ``n`` coefficients of the product of two integer vectors."""
+    x, y = x[:n], y[:n]
+    while x and not x[-1]:
+        x.pop()
+    while y and not y[-1]:
+        y.pop()
+    if not x or not y:
+        return [0] * n
+    # digits of ``size`` bytes hold any |coefficient| <= bound below half
+    bound = min(len(x), len(y)) * max(map(abs, x)) * max(map(abs, y))
+    size = bound.bit_length() // 8 + 1
+    half = 1 << (8 * size - 1)
+    product = _pack(x, size, half) * _pack(y, size, half)
+    # biased by half, every digit is in [0, 2 half), so no digit borrows
+    raw = (product + _bias(n, size, half)) & ((1 << (8 * size * n)) - 1)
+    raw = raw.to_bytes(size * n, "little")
+    return [
+        int.from_bytes(raw[i:i + size], "little") - half
+        for i in range(0, size * n, size)
+    ]
+
+
+def _pack(v: list, size: int, half: int) -> int:
+    """sum_i v[i] 256^(size i) for |v[i]| < half."""
+    raw = b"".join([(c + half).to_bytes(size, "little") for c in v])
+    return int.from_bytes(raw, "little") - _bias(len(v), size, half)
+
+
+def _bias(count: int, size: int, half: int) -> int:
+    """sum_i half 256^(size i) over ``count`` digits."""
+    return int.from_bytes(half.to_bytes(size, "little") * count, "little")
+
+
+# -- generic loops --------------------------------------------------------
+
+
+def generic_mul(a: list, b: list, n: int, zero=ZERO) -> list:
     """Product of two series truncated to length ``n``."""
     out = []
     for k in range(n):
@@ -31,11 +189,9 @@ def mul(a: list, b: list, n: int, zero=ZERO) -> list:
     return out
 
 
-def div(a: list, b: list, n: int, zero=ZERO) -> list:
-    """Quotient ``a / b``; requires an invertible leading coefficient."""
+def generic_div(a: list, b: list, n: int, zero=ZERO) -> list:
+    """Quotient ``a / b`` for ``b[0]`` invertible."""
     b0 = b[0]
-    if not b0:
-        raise ZeroDivisionError("division by a series with zero constant term")
     out = []
     for k in range(n):
         acc = a[k]
@@ -47,33 +203,26 @@ def div(a: list, b: list, n: int, zero=ZERO) -> list:
     return out
 
 
-def compose(a: list, b: list, n: int, zero=ZERO) -> list:
-    """Composition ``a(b(x))``; requires ``b[0] == 0``.
+def generic_compose(a: list, b: list, n: int, zero=ZERO) -> list:
+    """Composition ``a(b(x))`` for ``b[0] == 0``.
 
     Horner evaluation from the top coefficient down: n series products
     of length n each.
     """
-    if b[0]:
-        raise ValueError("composition requires an inner series with zero constant term")
     out = [zero] * n
     for k in range(n - 1, -1, -1):
-        out = mul(out, b, n, zero)
+        out = generic_mul(out, b, n, zero)
         out[0] = out[0] + a[k]
     return out
 
 
-def revert(f: list, n: int, zero=ZERO) -> list:
-    """Compositional inverse: the series ``g`` with ``f(g(x)) = x``.
+def generic_revert(f: list, n: int, zero=ZERO) -> list:
+    """Compositional inverse for ``f[0] == 0`` and ``f[1]`` invertible.
 
-    Requires ``f[0] == 0`` and ``f[1]`` invertible.  Solves the
-    triangular system  x = sum_k g_k f(x)^k  coefficient by coefficient
-    against precomputed powers of ``f``.
+    Solves the triangular system  x = sum_k g_k f(x)^k  coefficient by
+    coefficient against precomputed powers of ``f``.
     """
-    if f[0]:
-        raise ValueError("reversion requires zero constant term")
     f1 = f[1]
-    if not f1:
-        raise ZeroDivisionError("reversion requires an invertible linear coefficient")
     one = f1 / f1
     # powers[k] = f(x)^k truncated to length n
     powers = [None] * n
@@ -81,7 +230,7 @@ def revert(f: list, n: int, zero=ZERO) -> list:
         p = [zero] * n
         p[0] = one
         for k in range(1, n):
-            p = mul(p, f, n, zero)
+            p = generic_mul(p, f, n, zero)
             powers[k] = p
     out = [zero] * n
     diag = one  # f1 ** m

@@ -188,6 +188,11 @@ def _cmd_oeis_compare(args) -> int:
             if c.denominator != 1:
                 raise EvalError(f"non-integer coefficient {c} in sequence")
             seq.append(int(c))
+    if len(seq) < args.min_match:
+        raise argparse.ArgumentTypeError(
+            f"--min-match {args.min_match} needs at least {args.min_match}"
+            f" terms, got {len(seq)}"
+        )
     report = compare(seq, bfile, args.min_match)
     _emit(args, report.summary())
     return 0 if report.passed else 1

@@ -170,6 +170,8 @@ class RiordanMatrix:
 
     def a_sequence(self) -> Series:
         """The series A with g = A(x g): the row-building rule."""
+        if not self.g[0]:
+            raise ValueError("the A-sequence needs g(0) != 0")
         wbar = self.xg(extend=True).revert()
         return self.g.compose(wbar)
 

@@ -6,16 +6,16 @@ zero).  Binary operations truncate to the shorter operand; asking for a
 coefficient past the order is an error rather than a silent zero.
 
 Coefficients are ``Fraction`` or :class:`~riordan.rings.ParamPoly`.
-Purely rational series run on the selected kernel backend (compiled
-when available); series with polynomial coefficients always use the
-generic pure-Python loops.
+Products, quotients, composition and reversion make one kernel call
+each, passing the zero of the coefficient ring: the kernels run
+rational series on integers and polynomial coefficients on generic
+loops (see :mod:`riordan._purekernels`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import _purekernels
 from ._backend import kernels
 from .rings import ONE, ZERO, ParamPoly
 
@@ -28,6 +28,14 @@ def _normalize(c):
     if isinstance(c, ParamPoly):
         return c
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+
+
+def _ring_zero(*series):
+    """The zero of the coefficient ring the series share."""
+    for s in series:
+        if not s._rational:
+            return s._zero()
+    return ZERO
 
 
 class Series:
@@ -189,10 +197,7 @@ class Series:
             return NotImplemented
         n = min(self.order, other.order)
         a, b = list(self.coeffs[:n]), list(other.coeffs[:n])
-        if self._rational and other._rational:
-            return Series(kernels.mul(a, b, n), n)
-        zero = self._zero_of(a) if not self._rational else self._zero_of(b)
-        return Series(_purekernels.mul(a, b, n, zero), n)
+        return Series(kernels.mul(a, b, n, _ring_zero(self, other)), n)
 
     __rmul__ = __mul__
 
@@ -204,10 +209,7 @@ class Series:
             return NotImplemented
         n = min(self.order, other.order)
         a, b = list(self.coeffs[:n]), list(other.coeffs[:n])
-        if self._rational and other._rational:
-            return Series(kernels.div(a, b, n), n)
-        zero = self._zero_of(a) if not self._rational else self._zero_of(b)
-        return Series(_purekernels.div(a, b, n, zero), n)
+        return Series(kernels.div(a, b, n, _ring_zero(self, other)), n)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -239,22 +241,12 @@ class Series:
         """self(inner(x)); the inner constant term must vanish."""
         n = min(self.order, inner.order)
         a, b = list(self.coeffs[:n]), list(inner.coeffs[:n])
-        if b and b[0]:
-            raise ValueError(
-                "composition requires an inner series with zero constant term"
-            )
-        if self._rational and inner._rational:
-            return Series(kernels.compose(a, b, n), n)
-        zero = self._zero_of(a + b)
-        return Series(_purekernels.compose(a, b, n, zero), n)
+        return Series(kernels.compose(a, b, n, _ring_zero(self, inner)), n)
 
     def revert(self) -> "Series":
         """Compositional inverse: g with self(g(x)) = x."""
         n = self.order
-        f = list(self.coeffs)
-        if self._rational:
-            return Series(kernels.revert(f, n), n)
-        return Series(_purekernels.revert(f, n, self._zero()), n)
+        return Series(kernels.revert(list(self.coeffs), n, _ring_zero(self)), n)
 
     # -- calculus -------------------------------------------------------
 

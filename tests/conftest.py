@@ -63,6 +63,17 @@ def bell_log_oracle(g):
     return acc
 
 
+def triangle_exp(tri):
+    """Matrix exponential of a strictly lower-triangular array, the
+    finite sum of tri^p / p! in full triangle products.  Inverts
+    ``bell_log``."""
+    acc = term = Triangle.identity(tri.nrows)
+    for p in range(1, tri.nrows):
+        term = term.matmul(tri).scale(Fraction(1, p))
+        acc = acc.add(term)
+    return acc
+
+
 def is_pseudo_involution_oracle(m):
     """Pseudo-involution test through the group inverse: M^-1 equals
     the sign conjugate (f(-x), g(-x)).  Costs a ``revert``, two

@@ -214,6 +214,12 @@ class TestSequences:
         assert code == 0
         assert out == "1 1 0 0 0 0\n"
 
+    def test_aseq_needs_nonzero_g0(self, capsys):
+        code, out, err = run(capsys, "aseq", "--g", "x", "--order", "4")
+        assert code == 2
+        assert out == ""
+        assert err == "error: the A-sequence needs g(0) != 0\n"
+
 
 class TestSqrtFactor:
     def test_geometric2(self, capsys):
@@ -356,6 +362,18 @@ class TestOeisCompare:
         )
         assert code == 2
         assert "non-integer coefficient" in err
+
+    @pytest.mark.parametrize(
+        "terms, count",
+        [(["--expr", "rna", "--order", "1"], 1), (["--values", "1,1"], 2)],
+    )
+    def test_fewer_terms_than_min_match_rejected(self, capsys, terms, count):
+        code, out, err = run(
+            capsys, "oeis-compare", "--vendored", "A097724", *terms
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --min-match 8 needs at least 8 terms, got {count}\n"
 
 
 class TestErrorHandling:

@@ -20,10 +20,9 @@ from riordan import (
     log_generator,
     one_series,
     rna_series,
-    triangle_exp,
     x_series,
 )
-from conftest import S, bell_log_oracle, rows_of
+from conftest import S, bell_log_oracle, rows_of, triangle_exp
 
 F = Fraction
 
@@ -171,6 +170,17 @@ class TestNilpotentSeriesOracle:
     def test_exp_undoes_log(self, name, order):
         g = ORACLE_PAIRS[name](order)
         assert triangle_exp(bell_log_oracle(g)) == RiordanMatrix(g, g).triangle()
+
+
+@pytest.mark.parametrize("order", range(3, 17))
+@pytest.mark.parametrize("name", sorted(ORACLE_PAIRS))
+def test_log_generator_solves_julia_equation(name, order):
+    # h = x^2 b solves h(xg) = (xg)' h, i.e. g^2 b(xg) = b (xg)'
+    g = ORACLE_PAIRS[name](order)
+    b = log_generator(g)
+    m = b.order
+    xg = g.truncate(m).shift_up(1, extend=True)
+    assert g.truncate(m) ** 2 * b.compose(xg) == b * xg.derivative()
 
 
 class TestBellPower:
