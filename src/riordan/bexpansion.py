@@ -1,18 +1,21 @@
 """Partition expansions for powers of Bell-subgroup series.
 
-Three related engines live here, all driven by partitions of n into odd
-parts (a partition is recorded by multiplicities: m_i counts parts of
-size 2i+1, with q = sum m_i parts in total and k = sum m_i (i+1)):
+A partition of n into odd parts is recorded by multiplicities: m_i
+counts parts of size 2i+1, with q = sum m_i parts in total and
+k = sum m_i (i+1) = (n + q)/2.  The expansion of [x^n] g^phi in the
+B-sequence coefficients of (1, xg) (:func:`b_expand`), its all-parts
+analogue for the A-sequence (:func:`a_expand`) and the rows of the
+B-composition matrix <B> (:func:`bcomp_matrix`) weigh a partition only
+through q, so each is one sum over q of a weight times
 
-* the expansion of [x^n] g^phi in the B-sequence coefficients of
-  (1, xg) -- :func:`b_expand` -- and its all-parts analogue
-  :func:`a_expand` for the A-sequence;
-* the triangle of B-composition polynomials <B> -- rows interpolate
-  the powers g^[phi] whose B-function is phi*B(x) -- built entrywise
-  by the partition formula (:func:`bcomp_matrix`);
-* the convolution-polynomial route: s_n(m) = [x^n] B^m rebuilds the
-  same rows (:func:`bcomp_row_from_convolutions`) and generalizes to
-  arbitrary powers of g^[phi] (:func:`power_poly`).
+    S_q(n) = sum over partitions with q parts of prod b_i^{m_i} / m_i!
+           = [x^{(n-q)/2}] B^q / q!
+
+(Comtet, *Advanced Combinatorics*, 1974, sec. 3.3), accumulated once by
+:func:`_sums_by_parts`.  The convolution route reads the same numbers
+off the powers of B instead: s_j(m) = [x^j] B^m rebuilds the rows of
+<B> (:func:`bcomp_row_from_convolutions`) and generalizes to arbitrary
+powers of g^[phi] (:func:`power_poly`).
 
 Closed forms for the classic cases B = 1/(1-x) (the RNA matrix),
 B = 1+x, and B = C(x), plus the descending-diagonal bridge to the
@@ -96,15 +99,52 @@ def _odd_mults_cached(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_odd_mult_tuples(n))
 
 
-def odd_partitions(n: int) -> list[OddPartition]:
-    """All partitions of n into odd parts, lexicographic on multiplicities."""
+def _odd_mults(n: int) -> tuple[tuple[int, ...], ...]:
+    """Odd-partition multiplicity tuples of n; every lookup comes here,
+    so every caller meets the ``PARTITION_N_LIMIT`` ceiling."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > PARTITION_N_LIMIT:
         raise ValueError(
             f"partition enumeration is limited to n <= {PARTITION_N_LIMIT}"
         )
-    return [OddPartition(t) for t in _odd_mults_cached(n)]
+    return _odd_mults_cached(n)
+
+
+def odd_partitions(n: int) -> list[OddPartition]:
+    """All partitions of n into odd parts, lexicographic on multiplicities."""
+    return [OddPartition(t) for t in _odd_mults(n)]
+
+
+def _sums_by_parts(cs, mult_tuples) -> dict[int, Fraction]:
+    """{q: S_q}, S_q the sum of prod cs[i]^{m_i} / m_i! over the tuples
+    (m_0, m_1, ...) with q = sum m_i; a q with no nonzero term is left
+    out.  The loop runs over every partition, so it works on integer
+    numerator/denominator pairs and builds one Fraction per q."""
+    pairs = [(c.numerator, c.denominator) for c in cs]
+    by_q: dict[int, tuple[int, int]] = {}
+    for mults in mult_tuples:
+        num = den = 1
+        q = 0
+        for i, m in enumerate(mults):
+            if m:
+                cn, cd = pairs[i]
+                if not cn:
+                    num = 0
+                    break
+                num *= cn ** m
+                den *= cd ** m * factorial(m)
+                q += m
+        if not num:
+            continue
+        acc = by_q.get(q)
+        if acc is None:
+            by_q[q] = (num, den)
+        else:
+            an, ad = acc
+            g = gcd(ad, den)
+            by_q[q] = (an * (den // g) + num * (ad // g), ad * (den // g))
+    return {q: Fraction(num, den) for q, (num, den) in by_q.items()}
 
 
 def catalan_number(n: int) -> Fraction:
@@ -127,28 +167,16 @@ def b_expand(b: Series, n: int, symbol: str = "phi") -> ParamPoly:
     """[x^n] g^phi as a polynomial in phi, from the B-sequence of (1, xg).
 
     Sums phi (phi+k-1)_{q-1} / (m_0! ... m_p!) * prod b_i^{m_i} over
-    the partitions of n into odd parts.
+    the partitions of n into odd parts, grouped by q (k = (n+q)/2).
     """
     if n == 0:
         return ParamPoly.const(1, symbol)
-    bs = _b_coeffs(b, (n + 1) // 2 if n % 2 else n // 2)
+    bs = _b_coeffs(b, (n + 1) // 2)
     phi = ParamPoly.param(symbol)
     total = ParamPoly((), symbol)
-    for part in odd_partitions(n):
-        coeff = ONE
-        denom = 1
-        for i, m in enumerate(part.multiplicities):
-            if m:
-                bi = bs[i]
-                if not bi:
-                    coeff = ZERO
-                    break
-                coeff *= bi ** m
-                denom *= factorial(m)
-        if not coeff:
-            continue
-        poly = phi * falling_factorial(phi + (part.k - 1), part.q - 1)
-        total = total + poly * (coeff / denom)
+    for q, s in _sums_by_parts(bs, _odd_mults(n)).items():
+        k = (n + q) // 2
+        total = total + phi * falling_factorial(phi + (k - 1), q - 1) * s
     return total
 
 
@@ -191,32 +219,17 @@ def a_expand(a: Series, n: int, symbol: str = "phi") -> ParamPoly:
     """[x^n] g^phi from the A-sequence of (1, xg), i.e. g = a(xg).
 
     Sums phi (phi+n-1)_{q-1} / (m_1! ... m_n!) * prod a_i^{m_i} over
-    all partitions of n; requires a(0) = 1.
+    all partitions of n, grouped by q; requires a(0) = 1.
     """
     if a[0] != 1:
         raise ValueError("a_expand requires an A-series with constant term 1")
     if n == 0:
         return ParamPoly.const(1, symbol)
-    acoef = a.pad_zeros(n + 1).coeffs
+    acoef = a.pad_zeros(n + 1).coeffs[1:]
     phi = ParamPoly.param(symbol)
     total = ParamPoly((), symbol)
-    for mults in _all_partition_mults(n):
-        coeff = ONE
-        denom = 1
-        q = 0
-        for i, m in enumerate(mults, start=1):
-            if m:
-                ai = acoef[i]
-                if not ai:
-                    coeff = ZERO
-                    break
-                coeff *= ai ** m
-                denom *= factorial(m)
-                q += m
-        if not coeff:
-            continue
-        poly = phi * falling_factorial(phi + (n - 1), q - 1)
-        total = total + poly * (coeff / denom)
+    for q, s in _sums_by_parts(acoef, _all_partition_mults(n)).items():
+        total = total + phi * falling_factorial(phi + (n - 1), q - 1) * s
     return total
 
 
@@ -276,50 +289,25 @@ class BCompMatrix:
 
 
 def _bcomp_row(bs: list[Fraction], n: int) -> list[Fraction]:
-    """Row n of <B> by the partition formula.
-
-    The inner loop runs over every partition of n into odd parts, so it
-    works on raw integer numerator/denominator pairs and normalizes
-    once per entry.
-    """
+    """Row n of <B> by the partition formula: entry q is
+    (k)_{q-1} S_q with k = (n+q)/2."""
     if n == 0:
         return [ONE]
-    pairs = [(b.numerator, b.denominator) for b in bs]
-    by_q: dict[int, tuple[int, int]] = {}
-    for mults in _odd_mults_cached(n):
-        num = 1
-        den = 1
-        q = 0
-        for i, m in enumerate(mults):
-            if m:
-                bn, bd = pairs[i]
-                if not bn:
-                    num = 0
-                    break
-                num *= bn ** m
-                den *= bd ** m * factorial(m)
-                q += m
-        if not num:
-            continue
-        acc = by_q.get(q)
-        if acc is None:
-            by_q[q] = (num, den)
-        else:
-            an, ad = acc
-            g = gcd(ad, den)
-            by_q[q] = (an * (den // g) + num * (ad // g), ad * (den // g))
     row = [ZERO] * (n + 1)
-    for q, (num, den) in by_q.items():
-        k = (n + q) // 2
-        row[q] = Fraction(perm(k, q - 1) * num, den)
+    for q, s in _sums_by_parts(bs, _odd_mults(n)).items():
+        row[q] = perm((n + q) // 2, q - 1) * s
     return row
 
 
 def bcomp_matrix(b: Series, order: int) -> BCompMatrix:
-    """The B-composition matrix <B> with ``order`` rows."""
-    top = order - 1
-    need = (top + 1) // 2 if top % 2 else top // 2
-    bs = _b_coeffs(b, max(need, 1))
+    """The B-composition matrix <B> with ``order`` rows, at most
+    ``PARTITION_N_LIMIT + 1`` (row n sums over the odd partitions of n)."""
+    if order > PARTITION_N_LIMIT + 1:
+        raise ValueError(
+            f"<B> is limited to {PARTITION_N_LIMIT + 1} rows"
+            f" (odd partitions of n <= {PARTITION_N_LIMIT})"
+        )
+    bs = _b_coeffs(b, max(order // 2, 1))
     rows = [_bcomp_row(bs, n) for n in range(order)]
     return BCompMatrix(Triangle(rows), b)
 
@@ -424,7 +412,7 @@ def dissection_matrix(order: int) -> Triangle:
 
 def _power_table(b: Series, jmax: int, mmax: int) -> list[list[Fraction]]:
     """table[m][j] = [x^j] B^m for 0 <= j <= jmax, 0 <= m <= mmax."""
-    base = b.pad_zeros(jmax + 1) if b.order <= jmax else b.truncate(jmax + 1)
+    base = b.pad_zeros(jmax + 1)
     table = [[ONE] + [ZERO] * jmax]
     p = one_series(jmax + 1)
     for _ in range(mmax):
@@ -438,7 +426,7 @@ def convolution_rows(b: Series, order: int) -> Triangle:
     of s_n(t) with B^t = sum s_n(t) x^n, from the parametric power."""
     if b[0] != 1:
         raise ValueError("convolution rows need B with constant term 1")
-    p = b.truncate(order).pow_param("t") if b.order >= order else b.pad_zeros(order).pow_param("t")
+    p = b.pad_zeros(order).pow_param("t")
     rows = []
     for n in range(order):
         cs = list(p[n].coeffs) if isinstance(p[n], ParamPoly) else [p[n]]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .bexpansion import b_expand, bcomp_matrix
+from .bexpansion import PARTITION_N_LIMIT, b_expand, bcomp_matrix
 from .core import EXPONENTIAL, ORDINARY, RiordanError, RiordanMatrix
 from .exprparse import EvalError, ParseError, eval_expr, parse_expr
 from .matrixlog import bell_power, composition_matrix
@@ -156,6 +156,11 @@ def _cmd_diag(args) -> int:
 def _cmd_check(args) -> int:
     if not args.all and not args.suite:
         raise argparse.ArgumentTypeError("need --suite NAME or --all")
+    if args.order > PARTITION_N_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"--order must be at most {PARTITION_N_LIMIT}"
+            " (the suites build <B> with order + 1 rows)"
+        )
     results = (
         run_all(args.order) if args.all else run_suite(args.suite, args.order)
     )

@@ -131,6 +131,10 @@ class RiordanMatrix:
 
     def inverse(self) -> "RiordanMatrix":
         """Group inverse; requires invertible f(0) and g(0)."""
+        if not self.f[0]:
+            raise ValueError("the inverse needs f(0) != 0")
+        if not self.g[0]:
+            raise ValueError("the inverse needs g(0) != 0")
         wbar = self.xg(extend=True).revert()
         f = 1 / self.f.compose(wbar)
         ginv = 1 / self.g.compose(wbar)

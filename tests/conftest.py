@@ -6,16 +6,25 @@ be written as plain Python lists.
 """
 
 from fractions import Fraction
+from math import factorial, gcd, perm
 
 import pytest
 
 from riordan import (
     ORDINARY,
     NoBSequenceError,
+    ParamPoly,
     RiordanMatrix,
     Series,
     Triangle,
+    falling_factorial,
+    odd_partitions,
     one_series,
+)
+from riordan.bexpansion import (
+    _all_partition_mults,
+    _b_coeffs,
+    _odd_mults_cached,
 )
 from riordan.core import _as_series
 from riordan.rings import ONE, ZERO
@@ -77,8 +86,8 @@ def triangle_exp(tri):
 def is_pseudo_involution_oracle(m):
     """Pseudo-involution test through the group inverse: M^-1 equals
     the sign conjugate (f(-x), g(-x)).  Costs a ``revert``, two
-    ``compose`` and two divisions, and raises ``ZeroDivisionError`` on
-    a singular input.  Reference for ``is_pseudo_involution``."""
+    ``compose`` and two divisions, and raises ``ValueError`` on a
+    singular input (f(0) = 0 or g(0) = 0).  Reference for ``is_pseudo_involution``."""
     inv = m.inverse()
     return inv.f == m.f.alternate() and inv.g == m.g.alternate()
 
@@ -146,6 +155,100 @@ def from_b_sequence_oracle(b, order, bell=False):
         g = one_series(order) + x * g * bpad.compose(arg)
     f = g if bell else one_series(order)
     return RiordanMatrix(f, g)
+
+
+def b_expand_oracle(b, n, symbol="phi"):
+    """[x^n] g^phi summed one ParamPoly term per odd partition of n.
+    Reference for ``b_expand``, which groups the partitions by their
+    number of parts."""
+    if n == 0:
+        return ParamPoly.const(1, symbol)
+    bs = _b_coeffs(b, (n + 1) // 2 if n % 2 else n // 2)
+    phi = ParamPoly.param(symbol)
+    total = ParamPoly((), symbol)
+    for part in odd_partitions(n):
+        coeff = ONE
+        denom = 1
+        for i, m in enumerate(part.multiplicities):
+            if m:
+                bi = bs[i]
+                if not bi:
+                    coeff = ZERO
+                    break
+                coeff *= bi ** m
+                denom *= factorial(m)
+        if not coeff:
+            continue
+        poly = phi * falling_factorial(phi + (part.k - 1), part.q - 1)
+        total = total + poly * (coeff / denom)
+    return total
+
+
+def a_expand_oracle(a, n, symbol="phi"):
+    """[x^n] g^phi from the A-sequence, one ParamPoly term per partition
+    of n.  Reference for ``a_expand``."""
+    if a[0] != 1:
+        raise ValueError("a_expand requires an A-series with constant term 1")
+    if n == 0:
+        return ParamPoly.const(1, symbol)
+    acoef = a.pad_zeros(n + 1).coeffs
+    phi = ParamPoly.param(symbol)
+    total = ParamPoly((), symbol)
+    for mults in _all_partition_mults(n):
+        coeff = ONE
+        denom = 1
+        q = 0
+        for i, m in enumerate(mults, start=1):
+            if m:
+                ai = acoef[i]
+                if not ai:
+                    coeff = ZERO
+                    break
+                coeff *= ai ** m
+                denom *= factorial(m)
+                q += m
+        if not coeff:
+            continue
+        poly = phi * falling_factorial(phi + (n - 1), q - 1)
+        total = total + poly * (coeff / denom)
+    return total
+
+
+def bcomp_row_oracle(bs, n):
+    """Row n of <B> by the partition formula on integer
+    numerator/denominator pairs, with no enumeration ceiling.
+    Reference for the rows of ``bcomp_matrix``."""
+    if n == 0:
+        return [ONE]
+    pairs = [(b.numerator, b.denominator) for b in bs]
+    by_q = {}
+    for mults in _odd_mults_cached(n):
+        num = 1
+        den = 1
+        q = 0
+        for i, m in enumerate(mults):
+            if m:
+                bn, bd = pairs[i]
+                if not bn:
+                    num = 0
+                    break
+                num *= bn ** m
+                den *= bd ** m * factorial(m)
+                q += m
+        if not num:
+            continue
+        acc = by_q.get(q)
+        if acc is None:
+            by_q[q] = (num, den)
+        else:
+            an, ad = acc
+            g = gcd(ad, den)
+            by_q[q] = (an * (den // g) + num * (ad // g), ad * (den // g))
+    row = [ZERO] * (n + 1)
+    for q, (num, den) in by_q.items():
+        k = (n + q) // 2
+        row[q] = Fraction(perm(k, q - 1) * num, den)
+    return row
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     B1_TABLE,
@@ -19,6 +20,9 @@ from conftest import (
     ONE_PLUS_X_ROWS,
     RNA_BCOMP_ROWS,
     S,
+    a_expand_oracle,
+    b_expand_oracle,
+    bcomp_row_oracle,
     poly_coeffs,
     rows_of,
 )
@@ -57,6 +61,7 @@ from riordan import (
     rna_row_closed,
     rna_series,
 )
+from riordan.bexpansion import _odd_mults, _power_table, _sums_by_parts
 
 # B-sequences used repeatedly; padded with explicit zeros so the
 # coefficient window covers everything the formulas ask for.
@@ -163,6 +168,10 @@ class TestBExpand:
     def test_window_guard(self):
         with pytest.raises(ValueError, match="only known to order"):
             b_expand(S([1, 1]), 6)
+
+    def test_partition_ceiling(self):
+        with pytest.raises(ValueError, match=f"n <= {PARTITION_N_LIMIT}$"):
+            b_expand(geometric(41), PARTITION_N_LIMIT + 1)
 
     def test_n_zero(self):
         assert b_expand(B_CATALAN, 0) == ParamPoly.const(1, "phi")
@@ -351,6 +360,58 @@ class TestBCompMatrix:
     def test_window_guard(self):
         with pytest.raises(ValueError, match="only known to order"):
             bcomp_matrix(S([1, 1]), 11)
+
+    def test_row_ceiling(self):
+        # Row n sums over the odd partitions of n, so the ceiling is
+        # checked before any row (or the B window) is looked at.
+        with pytest.raises(ValueError, match=f"{PARTITION_N_LIMIT + 1} rows"):
+            bcomp_matrix(S([1, 1]), PARTITION_N_LIMIT + 2)
+
+
+# B of length 1-8, entries p/q with |p| <= 5 and q <= 4 (zeros included);
+# the window is padded with zeros to 16 terms, enough for n <= 31.
+B_ENTRIES = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+B_WINDOWS = st.lists(B_ENTRIES, min_size=1, max_size=8).map(lambda cs: Series(cs, 16))
+
+
+class TestPartitionSumOracles:
+    """The by-q partition sums against the per-partition formulas they
+    replaced (``conftest``), coefficient for coefficient."""
+
+    @given(b=B_WINDOWS, n=st.integers(0, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_b_expand(self, b, n):
+        got, want = b_expand(b, n), b_expand_oracle(b, n)
+        assert (got.symbol, got.coeffs) == (want.symbol, want.coeffs)
+
+    @given(
+        rest=st.lists(B_ENTRIES, min_size=0, max_size=7),
+        n=st.integers(0, 10),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_expand(self, rest, n):
+        a = Series([1] + rest)
+        got, want = a_expand(a, n), a_expand_oracle(a, n)
+        assert (got.symbol, got.coeffs) == (want.symbol, want.coeffs)
+
+    @given(b=B_WINDOWS, order=st.integers(1, 31))
+    @settings(max_examples=100, deadline=None)
+    def test_bcomp_rows(self, b, order):
+        tri = bcomp_matrix(b, order).triangle
+        bs = list(b.coeffs)
+        assert [list(tri.row(n)) for n in range(order)] == [
+            bcomp_row_oracle(bs, n) for n in range(order)
+        ]
+
+    @given(b=B_WINDOWS, n=st.integers(0, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_sums_are_power_coefficients(self, b, n):
+        # S_q(n) = [x^{(n-q)/2}] B^q / q!
+        sums = _sums_by_parts(b.coeffs, _odd_mults(n))
+        table = _power_table(b, n // 2, n)
+        for q in range(n % 2, n + 1, 2):
+            assert sums.get(q, 0) == table[q][(n - q) // 2] / factorial(q)
+        assert all((n - q) % 2 == 0 for q in sums)
 
 
 class TestClosedFormEntries:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import RNA_BCOMP_ROWS, RNA_MATRIX_ROWS, T
+from riordan import PARTITION_N_LIMIT
 from riordan.cli import main
 from riordan.render import format_triangle
 
@@ -146,6 +147,15 @@ class TestBComp:
         )
         assert code == 0
         assert out.splitlines() == ["1", "0 1", "0 0 1", "0 1 0 1", "0 0 3 0 1"]
+
+    def test_rows_above_partition_ceiling(self, capsys):
+        rows = PARTITION_N_LIMIT + 2
+        code, out, err = run(capsys, "bcomp", "--b", "geom", "--rows", str(rows))
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: <B> is limited to {rows - 1} rows"
+            f" (odd partitions of n <= {PARTITION_N_LIMIT})\n"
+        )
 
 
 class TestBExpand:
@@ -311,6 +321,15 @@ class TestCheck:
         code, _, err = run(capsys, "check")
         assert code == 2
         assert "need --suite NAME or --all" in err
+
+    def test_order_above_partition_ceiling(self, capsys):
+        order = PARTITION_N_LIMIT + 1
+        code, out, err = run(capsys, "check", "--all", "--order", str(order))
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: --order must be at most {PARTITION_N_LIMIT}"
+            " (the suites build <B> with order + 1 rows)\n"
+        )
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
