@@ -55,7 +55,6 @@ from .core import (
     from_b_sequence,
 )
 from .matrixlog import (
-    COMPOSITION_N_LIMIT,
     CompositionMatrix,
     bell_log,
     bell_power,
@@ -83,7 +82,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BCompMatrix",
     "CheckResult",
-    "COMPOSITION_N_LIMIT",
     "CompositionMatrix",
     "ConsistencyError",
     "EXPONENTIAL",

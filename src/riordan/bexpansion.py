@@ -3,10 +3,9 @@
 A partition of n into odd parts is recorded by multiplicities: m_i
 counts parts of size 2i+1, with q = sum m_i parts in total and
 k = sum m_i (i+1) = (n + q)/2.  The expansion of [x^n] g^phi in the
-B-sequence coefficients of (1, xg) (:func:`b_expand`), its all-parts
-analogue for the A-sequence (:func:`a_expand`) and the rows of the
-B-composition matrix <B> (:func:`bcomp_matrix`) weigh a partition only
-through q, so each is one sum over q of a weight times
+B-sequence coefficients of (1, xg) (:func:`b_expand`) and the rows of
+the B-composition matrix <B> (:func:`bcomp_matrix`) weigh a partition
+only through q, so each is one sum over q of a weight times
 
     S_q(n) = sum over partitions with q parts of prod b_i^{m_i} / m_i!
            = [x^{(n-q)/2}] B^q / q!
@@ -15,7 +14,9 @@ through q, so each is one sum over q of a weight times
 :func:`_sums_by_parts`.  The convolution route reads the same numbers
 off the powers of B instead: s_j(m) = [x^j] B^m rebuilds the rows of
 <B> (:func:`bcomp_row_from_convolutions`) and generalizes to arbitrary
-powers of g^[phi] (:func:`power_poly`).
+powers of g^[phi] (:func:`power_poly`).  The all-parts analogue for
+the A-sequence (:func:`a_expand`) takes its sums over all partitions
+of n the same way, as [x^n] (a - 1)^q / q!.
 
 Closed forms for the classic cases B = 1/(1-x) (the RNA matrix),
 B = 1+x, and B = C(x), plus the descending-diagonal bridge to the
@@ -200,36 +201,25 @@ def b_expand_symbolic(n: int, symbol: str = "phi") -> dict[tuple[int, ...], Para
     return out
 
 
-def _all_partition_mults(n: int):
-    """Multiplicity tuples (m_1, ..., m_n) over parts of every size."""
-
-    def rec(rem: int, part: int):
-        if part > n:
-            if rem == 0:
-                yield ()
-            return
-        for m in range(rem // part + 1):
-            for rest in rec(rem - m * part, part + 1):
-                yield (m,) + rest
-
-    yield from rec(n, 1)
-
-
 def a_expand(a: Series, n: int, symbol: str = "phi") -> ParamPoly:
     """[x^n] g^phi from the A-sequence of (1, xg), i.e. g = a(xg).
 
-    Sums phi (phi+n-1)_{q-1} / (m_1! ... m_n!) * prod a_i^{m_i} over
-    all partitions of n, grouped by q; requires a(0) = 1.
+    Sums phi (phi+n-1)_{q-1} S_q over q, where S_q sums
+    prod a_i^{m_i} / (m_1! ... m_n!) over the partitions of n with q
+    parts, read off as S_q = [x^n] (a - 1)^q / q!; requires a(0) = 1.
     """
     if a[0] != 1:
         raise ValueError("a_expand requires an A-series with constant term 1")
     if n == 0:
         return ParamPoly.const(1, symbol)
-    acoef = a.pad_zeros(n + 1).coeffs[1:]
+    table = _power_table((a.pad_zeros(n + 1) - 1).shift_down(1), n - 1, n)
     phi = ParamPoly.param(symbol)
     total = ParamPoly((), symbol)
-    for q, s in _sums_by_parts(acoef, _all_partition_mults(n)).items():
-        total = total + phi * falling_factorial(phi + (n - 1), q - 1) * s
+    for q in range(1, n + 1):
+        s = table[q][n - q]
+        if s:
+            s /= factorial(q)
+            total = total + phi * falling_factorial(phi + (n - 1), q - 1) * s
     return total
 
 

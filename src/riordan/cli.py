@@ -29,6 +29,9 @@ from .render import (
 from .series import Series, one_series
 from .suites import SUITES, run_all, run_suite
 
+# below order 7 theorem72 cannot tell geometric B from Catalan B
+CHECK_ORDER_MIN = 7
+
 
 def _rational(text: str) -> Fraction:
     try:
@@ -156,6 +159,11 @@ def _cmd_diag(args) -> int:
 def _cmd_check(args) -> int:
     if not args.all and not args.suite:
         raise argparse.ArgumentTypeError("need --suite NAME or --all")
+    if args.order < CHECK_ORDER_MIN:
+        raise argparse.ArgumentTypeError(
+            f"--order must be at least {CHECK_ORDER_MIN}"
+            " (theorem72 cannot tell geometric from Catalan B below it)"
+        )
     if args.order > PARTITION_N_LIMIT:
         raise argparse.ArgumentTypeError(
             f"--order must be at most {PARTITION_N_LIMIT}"
@@ -321,7 +329,7 @@ def main(argv=None) -> int:
         KeyError,
         ValueError,
         ZeroDivisionError,
-        FileNotFoundError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

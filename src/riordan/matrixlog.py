@@ -8,22 +8,21 @@ fills log(g, xg) = (b(x), x) D^T, entry (i, m) = (m+1) b_(i-m-1)
 (Jabotinsky, "Analytic iteration", Trans. AMS 1963); and
 ``composition_matrix`` has column m = (1/m!) log(g, xg)^m e_0, whose
 rows, read as polynomials, interpolate the coefficients of g^(phi).
-The closed composition-sum formula rebuilds those rows from b alone.
+Applying (b, x) D^T to a column v is x b (xv)', so the columns follow
+c_m = x b ((beta + xD) c_{m-1}) / m with beta = 1, one series product
+each; ``composition_sum`` reads [x^n] (g^(phi))^beta off the same
+recurrence for any beta, from b alone.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .core import ConsistencyError, RiordanMatrix
 from .rings import ONE, ZERO, ParamPoly
-from .series import Series
+from .series import Series, one_series
 from .triangle import Triangle
-
-COMPOSITION_N_LIMIT = 24  # 2^(n-1) compositions; documented practical ceiling
 
 
 def _prepare(g: Series, order: int | None) -> Series:
@@ -38,13 +37,17 @@ def _prepare(g: Series, order: int | None) -> Series:
     return g
 
 
-def _scaled_powers(tri: Triangle, j: int = 0) -> list:
-    """tri^p e_j / p! for p = 0 .. n-1-j, for strictly lower-triangular
-    tri (higher powers vanish), one mat-vec product each."""
-    vecs = [[ONE if i == j else ZERO for i in range(tri.nrows)]]
-    for p in range(1, tri.nrows - j):
-        vecs.append([v / p for v in tri.apply_vec(vecs[-1])])
-    return vecs
+def _composition_columns(b: Series, n: int, beta) -> list[Series]:
+    """Columns c_0 .. c_(n-1), each of order n, of c_0 = 1 and
+    c_m = x b ((beta + xD) c_(m-1)) / m: [phi^m x^i] (g^(phi))^beta for
+    the log generator b of g.  b needs order n - 1 (any order when
+    n = 1)."""
+    xb = b.shift_up(1, extend=True)
+    cols = [one_series(n)]
+    for m in range(1, n):
+        w = [(beta + s) * c / m for s, c in enumerate(cols[-1].coeffs)]
+        cols.append(xb * Series(w, n))
+    return cols
 
 
 def _from_columns(cols: list) -> Triangle:
@@ -112,11 +115,14 @@ def composition_matrix(
 ) -> CompositionMatrix:
     """The matrix of composition polynomials of g.
 
-    Column m is (1/m!) log(g, xg)^m e_0, computed as (1/m) log(g, xg)
-    applied to column m-1.
+    Column m is (1/m!) log(g, xg)^m e_0, computed from column m-1 as
+    x b (x c_(m-1))' / m with b read off column 0 of ``bell_log``.
     """
     g = _prepare(g, order)
-    return CompositionMatrix(_from_columns(_scaled_powers(bell_log(g))), g)
+    log = bell_log(g)
+    n = log.nrows
+    b = Series([log.entry(i + 1, 0) for i in range(n - 1)], max(n - 1, 1))
+    return CompositionMatrix(_from_columns(_composition_columns(b, n, 1)), g)
 
 
 def bell_power(g: Series, phi, order: int | None = None) -> Series:
@@ -136,51 +142,23 @@ def bell_power(g: Series, phi, order: int | None = None) -> Series:
     )
 
 
-def _compositions(n: int, parts: tuple[int, ...]):
-    """Ordered compositions of n from the allowed part sizes."""
-    if n == 0:
-        yield ()
-        return
-    for p in parts:
-        if p <= n:
-            for rest in _compositions(n - p, parts):
-                yield (p,) + rest
-
-
 def composition_sum(
     b: Series, n: int, symbol: str = "phi", beta=1
 ) -> ParamPoly:
     """Closed composition-sum formula for [x^n] (g^(phi))^beta.
 
-    Sums over ordered compositions n = i_1 + ... + i_m the product
-    b_{i_1-1} ... b_{i_m-1} with the rising prefix factors
-    beta (beta+i_1) (beta+i_1+i_2) ... ; the phi^m weight is 1/m!.
+    The coefficient of phi^m sums, over the ordered compositions
+    n = i_1 + ... + i_m, the product b_{i_1-1} ... b_{i_m-1} with the
+    rising prefix factors beta (beta+i_1) (beta+i_1+i_2) ..., over m!.
+    The sum is accumulated by the column recurrence of
+    ``composition_matrix`` (n series products, no ceiling on n).
     With beta = 1 this is the composition polynomial c_n(phi).
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > COMPOSITION_N_LIMIT:
-        raise ValueError(
-            f"composition enumeration is limited to n <= {COMPOSITION_N_LIMIT}"
-        )
-    beta = Fraction(beta) if isinstance(beta, int) else beta
     if n == 0:
         return ParamPoly.const(1, symbol)
     if b.order < n:
         raise ValueError(f"b needs order >= {n}, has {b.order}")
-    parts = tuple(p for p in range(1, n + 1) if b[p - 1])
-    by_m: dict[int, Fraction] = defaultdict(lambda: Fraction(0))
-    for comp in _compositions(n, parts):
-        prod = beta
-        partial = 0
-        for part in comp[:-1]:
-            partial += part
-            prod *= beta + partial
-        for part in comp:
-            prod *= b[part - 1]
-        by_m[len(comp)] += prod
-    top = max(by_m)
-    return ParamPoly(
-        [by_m.get(m, Fraction(0)) / factorial(m) for m in range(top + 1)],
-        symbol,
-    )
+    cols = _composition_columns(b, n + 1, beta)
+    return ParamPoly([c[n] for c in cols], symbol)

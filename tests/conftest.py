@@ -5,6 +5,7 @@ convert integer/fraction literals into the package types so fixtures can
 be written as plain Python lists.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from math import factorial, gcd, perm
 
@@ -21,12 +22,9 @@ from riordan import (
     odd_partitions,
     one_series,
 )
-from riordan.bexpansion import (
-    _all_partition_mults,
-    _b_coeffs,
-    _odd_mults_cached,
-)
+from riordan.bexpansion import _b_coeffs, _odd_mults_cached
 from riordan.core import _as_series
+from riordan.matrixlog import _from_columns, bell_log
 from riordan.rings import ONE, ZERO
 
 
@@ -70,6 +68,64 @@ def bell_log_oracle(g):
             break
         acc = acc.add(term.scale(Fraction((-1) ** (p - 1), p)))
     return acc
+
+
+def _scaled_powers(tri: Triangle, j: int = 0) -> list:
+    """tri^p e_j / p! for p = 0 .. n-1-j, for strictly lower-triangular
+    tri (higher powers vanish), one mat-vec product each."""
+    vecs = [[ONE if i == j else ZERO for i in range(tri.nrows)]]
+    for p in range(1, tri.nrows - j):
+        vecs.append([v / p for v in tri.apply_vec(vecs[-1])])
+    return vecs
+
+
+def composition_matrix_oracle(g):
+    """The composition triangle of g as n mat-vecs on the ``bell_log``
+    triangle, column m = (1/m) log(g, xg) applied to column m-1.
+    Reference for ``composition_matrix``, which applies the log to a
+    column as one series product."""
+    return _from_columns(_scaled_powers(bell_log(g)))
+
+
+def _compositions(n: int, parts: tuple[int, ...]):
+    """Ordered compositions of n from the allowed part sizes."""
+    if n == 0:
+        yield ()
+        return
+    for p in parts:
+        if p <= n:
+            for rest in _compositions(n - p, parts):
+                yield (p,) + rest
+
+
+def composition_sum_oracle(b, n, symbol="phi", beta=1):
+    """[x^n] (g^(phi))^beta summed over all 2^(n-1) ordered compositions
+    of n, with no ceiling on n.  Reference for ``composition_sum``; it
+    raises ``ValueError`` when no composition of n uses only parts p
+    with b_(p-1) != 0, where the sum is 0."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    beta = Fraction(beta) if isinstance(beta, int) else beta
+    if n == 0:
+        return ParamPoly.const(1, symbol)
+    if b.order < n:
+        raise ValueError(f"b needs order >= {n}, has {b.order}")
+    parts = tuple(p for p in range(1, n + 1) if b[p - 1])
+    by_m: dict[int, Fraction] = defaultdict(lambda: Fraction(0))
+    for comp in _compositions(n, parts):
+        prod = beta
+        partial = 0
+        for part in comp[:-1]:
+            partial += part
+            prod *= beta + partial
+        for part in comp:
+            prod *= b[part - 1]
+        by_m[len(comp)] += prod
+    top = max(by_m)
+    return ParamPoly(
+        [by_m.get(m, Fraction(0)) / factorial(m) for m in range(top + 1)],
+        symbol,
+    )
 
 
 def triangle_exp(tri):
@@ -182,6 +238,21 @@ def b_expand_oracle(b, n, symbol="phi"):
         poly = phi * falling_factorial(phi + (part.k - 1), part.q - 1)
         total = total + poly * (coeff / denom)
     return total
+
+
+def _all_partition_mults(n: int):
+    """Multiplicity tuples (m_1, ..., m_n) over parts of every size."""
+
+    def rec(rem: int, part: int):
+        if part > n:
+            if rem == 0:
+                yield ()
+            return
+        for m in range(rem // part + 1):
+            for rest in rec(rem - m * part, part + 1):
+                yield (m,) + rest
+
+    yield from rec(n, 1)
 
 
 def a_expand_oracle(a, n, symbol="phi"):

@@ -331,6 +331,15 @@ class TestCheck:
             " (the suites build <B> with order + 1 rows)\n"
         )
 
+    @pytest.mark.parametrize("order", [1, 6])
+    def test_order_below_floor(self, capsys, order):
+        code, out, err = run(capsys, "check", "--all", "--order", str(order))
+        assert code == 2 and out == ""
+        assert err == (
+            "error: --order must be at least 7"
+            " (theorem72 cannot tell geometric from Catalan B below it)\n"
+        )
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check", "--suite", "nope"])
@@ -414,6 +423,22 @@ class TestErrorHandling:
         assert err.count("\n") == 1
         assert err.startswith("error: syntax error at byte ")
         assert "levels of nesting" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["matrix", "--g", "catalan", "--out", "{dir}"],
+            ["oeis-compare", "--bfile", "{dir}", "--values", "1,2,3"],
+        ],
+        ids=["out-dir", "bfile-dir"],
+    )
+    def test_directory_path_is_input_error(self, capsys, tmp_path, argv):
+        argv = [a.format(dir=tmp_path) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and str(tmp_path) in err
 
     def test_eval_error_exit_code(self, capsys):
         code, _, err = run(capsys, "power", "--g", "1/x")

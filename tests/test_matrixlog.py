@@ -4,9 +4,9 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riordan import (
-    COMPOSITION_N_LIMIT,
     RiordanMatrix,
     Series,
     Triangle,
@@ -22,7 +22,14 @@ from riordan import (
     rna_series,
     x_series,
 )
-from conftest import S, bell_log_oracle, rows_of, triangle_exp
+from conftest import (
+    S,
+    bell_log_oracle,
+    composition_matrix_oracle,
+    composition_sum_oracle,
+    rows_of,
+    triangle_exp,
+)
 
 F = Fraction
 
@@ -279,10 +286,59 @@ class TestCompositionSum:
         b = one_series(30)
         with pytest.raises(ValueError, match="non-negative"):
             composition_sum(b, -1)
-        with pytest.raises(ValueError, match=str(COMPOSITION_N_LIMIT)):
-            composition_sum(b, COMPOSITION_N_LIMIT + 1)
         with pytest.raises(ValueError, match="order"):
             composition_sum(one_series(3), 5)
+
+    def test_zero_generator(self):
+        # b = 0 is the log generator of g = 1: [x^n] 1^beta vanishes.
+        assert composition_sum(Series([0] * 6), 5, beta=3).coeffs == ()
+
+    def test_large_n_matches_composition_matrix(self):
+        # Far past 2^(n-1) enumeration: row 40 of the composition matrix.
+        g = rna_series(41)
+        b = log_generator(g)
+        got = composition_sum(b, 40)
+        assert got.coeffs == composition_matrix(g).row_poly(40, "phi").coeffs
+
+
+# g = 1 + g_1 x + ... with g_i = p/q, |p| <= 4, q <= 3 (zeros included)
+G_ENTRIES = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+def unit_series(order):
+    """Strategy for series with constant term 1 and the given order."""
+    return st.lists(G_ENTRIES, max_size=order - 1).map(
+        lambda cs: Series([1] + cs, order)
+    )
+
+
+class TestCompositionOracles:
+    """The column recurrence against the routes it replaced
+    (``conftest``), coefficient for coefficient."""
+
+    @given(
+        data=st.data(),
+        n=st.integers(0, 12),
+        beta=st.sampled_from([1, F(3, 2), 3, F(-1, 2)]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_composition_sum(self, data, n, beta):
+        g = data.draw(unit_series(n + 1))
+        b = log_generator(g) if n else one_series(1)
+        got = composition_sum(b, n, beta=beta)
+        try:
+            want = composition_sum_oracle(b, n, beta=beta)
+        except ValueError:  # no composition of n has only parts with b != 0
+            assert got.coeffs == ()
+            return
+        assert (got.symbol, got.coeffs) == (want.symbol, want.coeffs)
+
+    @given(data=st.data(), order=st.integers(1, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_composition_matrix(self, data, order):
+        g = data.draw(unit_series(order))
+        got = composition_matrix(g).triangle
+        assert got.rows == composition_matrix_oracle(g).rows
 
 
 class TestConjugatedPascalFamily:

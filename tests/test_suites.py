@@ -53,6 +53,18 @@ class TestRunAll:
     def test_smaller_order_also_passes(self):
         assert all(r.passed for r in run_all(8))
 
+    def test_every_order_from_7_to_20_passes(self):
+        for order in range(7, 21):
+            failed = [(r.suite, r.name) for r in run_all(order) if not r.passed]
+            assert not failed, (order, failed)
+
+    def test_theorem22_at_odd_order(self):
+        # x B(x^2) is built to the order of s, not to 2 b.order, which
+        # is one short of it at odd orders.
+        results = run_suite("theorem22", 13)
+        assert [r.name for r in results if not r.passed] == []
+        assert len(results) == 6
+
     def test_deterministic(self):
         assert run_all(12) == run_all(12)
 
