@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd, perm
 
 from .rings import ONE, ZERO, ParamPoly, binomial, falling_factorial
-from .series import Series, one_series, x_series
+from .series import Series, _power_columns, one_series
 from .triangle import Triangle
 
 PARTITION_N_LIMIT = 80  # counts stay in the tens of thousands here
@@ -393,8 +393,7 @@ def dissection_matrix(order: int) -> Triangle:
             if m + j + 1 < order:
                 col[m + j + 1] += c
         cols.append(col)
-    rows = [[cols[m][i] for m in range(i + 1)] for i in range(order)]
-    return Triangle(rows)
+    return Triangle.from_columns(cols)
 
 
 # -- convolution-polynomial route ---------------------------------------
@@ -413,15 +412,10 @@ def _power_table(b: Series, jmax: int, mmax: int) -> list[list[Fraction]]:
 
 def convolution_rows(b: Series, order: int) -> Triangle:
     """Triangle of convolution polynomials: row n holds the coefficients
-    of s_n(t) with B^t = sum s_n(t) x^n, from the parametric power."""
+    of s_n(t) with B^t = sum s_n(t) x^n, so column m is (log B)^m / m!."""
     if b[0] != 1:
         raise ValueError("convolution rows need B with constant term 1")
-    p = b.pad_zeros(order).pow_param("t")
-    rows = []
-    for n in range(order):
-        cs = list(p[n].coeffs) if isinstance(p[n], ParamPoly) else [p[n]]
-        rows.append(cs + [ZERO] * (n + 1 - len(cs)))
-    return Triangle(rows)
+    return Triangle.from_columns(_power_columns(b.pad_zeros(order).log(), order))
 
 
 def bcomp_row_from_convolutions(b: Series, n: int, symbol: str = "x") -> ParamPoly:

@@ -18,7 +18,7 @@ from .bexpansion import PARTITION_N_LIMIT, b_expand, bcomp_matrix
 from .core import EXPONENTIAL, ORDINARY, RiordanError, RiordanMatrix
 from .exprparse import EvalError, ParseError, eval_expr, parse_expr
 from .matrixlog import bell_power, composition_matrix
-from .oeis import BFile, BFileError, compare, load_vendored
+from .oeis import BFile, BFileError, compare, load_vendored, series_integers
 from .render import (
     FORMATS,
     format_pairs,
@@ -195,12 +195,7 @@ def _cmd_oeis_compare(args) -> int:
     if args.values is not None:
         seq = [int(v) for v in args.values.split(",") if v.strip()]
     else:
-        series = _series(args.expr, args.order)
-        seq = []
-        for c in series.coeffs:
-            if c.denominator != 1:
-                raise EvalError(f"non-integer coefficient {c} in sequence")
-            seq.append(int(c))
+        seq = series_integers(_series(args.expr, args.order).coeffs)
     if len(seq) < args.min_match:
         raise argparse.ArgumentTypeError(
             f"--min-match {args.min_match} needs at least {args.min_match}"

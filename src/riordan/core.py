@@ -91,26 +91,17 @@ class RiordanMatrix:
         """The explicit lower-triangular array, one row per order."""
         if self._tri is not None:
             return self._tri
-        n = self.order
         w = self.xg()
-        col = self.f
-        columns = []
-        for m in range(n):
-            columns.append(col.coeffs)
-            if m + 1 < n:
-                col = col * w
-        rows = []
-        for i in range(n):
-            if self.kind == EXPONENTIAL:
-                fi = factorial(i)
-                row = [
-                    columns[m][i] * Fraction(fi, factorial(m))
-                    for m in range(i + 1)
-                ]
-            else:
-                row = [columns[m][i] for m in range(i + 1)]
-            rows.append(row)
-        self._tri = Triangle(rows)
+        columns = [self.f]
+        for _ in range(1, self.order):
+            columns.append(columns[-1] * w)
+        if self.kind == EXPONENTIAL:
+            columns = [
+                [c * Fraction(factorial(i), factorial(m)) if c else c
+                 for i, c in enumerate(col.coeffs)]
+                for m, col in enumerate(columns)
+            ]
+        self._tri = Triangle.from_columns(columns)
         return self._tri
 
     # -- group structure -------------------------------------------------

@@ -20,9 +20,10 @@ explicit coefficient lists::
 (entries may be signed ``p/q`` rationals).  Parse errors carry the
 byte offset and the set of tokens that would have been accepted.
 
-Both the tree depth and the parenthesis nesting are at most
-``EXPR_DEPTH_LIMIT``; deeper input is a ParseError, not a RecursionError
-in the parser, the evaluator or the renderer.
+Tree depth and parenthesis nesting are at most ``EXPR_DEPTH_LIMIT``, and
+a power's exponent is at most ``EXPR_EXPONENT_LIMIT`` in absolute value;
+other input is a ParseError, not a RecursionError in the parser, the
+evaluator or the renderer, nor a run whose cost grows with the exponent.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bexpansion import binomial_series, rna_series
-from .series import Series, catalan, geometric
+from .series import Series, catalan, constant_series, from_coeffs, geometric, x_series
 
 __all__ = [
     "Expr",
@@ -45,6 +46,7 @@ __all__ = [
     "NamedSeries",
     "CoeffList",
     "EXPR_DEPTH_LIMIT",
+    "EXPR_EXPONENT_LIMIT",
     "ParseError",
     "EvalError",
     "parse_expr",
@@ -53,6 +55,7 @@ __all__ = [
 ]
 
 EXPR_DEPTH_LIMIT = 100  # each group costs ~6 parser frames of the default 1000
+EXPR_EXPONENT_LIMIT = 1000  # repeated squaring costs grow with |exponent|
 
 
 class ParseError(ValueError):
@@ -236,7 +239,11 @@ class _Parser:
         node, depth = self.primary()
         while self.current.kind == "^":
             self._eat("^")
-            node, depth = Pow(node, self._signed_int()), self._deeper(depth)
+            start, k = self.i, self._signed_int()
+            if abs(k) > EXPR_EXPONENT_LIMIT:
+                self.i = start  # report the exponent's first byte
+                self._fail(f"|exponent| <= {EXPR_EXPONENT_LIMIT}")
+            node, depth = Pow(node, k), self._deeper(depth)
         return node, depth
 
     def _signed_int(self) -> int:
@@ -320,9 +327,9 @@ def eval_expr(node: Expr, order: int) -> Series:
 
 def _eval(node: Expr, order: int) -> Series:
     if isinstance(node, Lit):
-        return Series([node.value], 1).pad_zeros(order)
+        return constant_series(node.value, order)
     if isinstance(node, Var):
-        return Series([0, 1], 2).pad_zeros(order) if order > 1 else Series([0], 1)
+        return x_series(order)
     if isinstance(node, Neg):
         return -_eval(node.operand, order)
     if isinstance(node, BinOp):
@@ -348,8 +355,7 @@ def _eval(node: Expr, order: int) -> Series:
             return geometric(order)
         return binomial_series(node.degree, order)
     if isinstance(node, CoeffList):
-        return Series(list(node.values), len(node.values)).pad_zeros(order) \
-            if len(node.values) < order else Series(list(node.values), order)
+        return from_coeffs(node.values, order)
     raise EvalError(f"cannot evaluate node {node!r}")
 
 

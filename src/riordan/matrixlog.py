@@ -50,11 +50,6 @@ def _composition_columns(b: Series, n: int, beta) -> list[Series]:
     return cols
 
 
-def _from_columns(cols: list) -> Triangle:
-    n = len(cols)
-    return Triangle([[cols[m][i] for m in range(i + 1)] for i in range(n)])
-
-
 def log_generator(g: Series, order: int | None = None) -> Series:
     """The series b with log(g, xg) = (b(x), x) D^T: column 0 of the log
     divided by x, verified by b(0) = g'(0).  It also solves
@@ -122,7 +117,8 @@ def composition_matrix(
     log = bell_log(g)
     n = log.nrows
     b = Series([log.entry(i + 1, 0) for i in range(n - 1)], max(n - 1, 1))
-    return CompositionMatrix(_from_columns(_composition_columns(b, n, 1)), g)
+    cols = _composition_columns(b, n, 1)
+    return CompositionMatrix(Triangle.from_columns(cols), g)
 
 
 def bell_power(g: Series, phi, order: int | None = None) -> Series:
@@ -131,15 +127,10 @@ def bell_power(g: Series, phi, order: int | None = None) -> Series:
     ``phi`` may be an exact rational or a symbol name (str), in which
     case coefficients are polynomials in that parameter.
     """
-    cm = composition_matrix(g, order)
-    tri = cm.triangle
-    n = tri.nrows
-    if isinstance(phi, str):
-        return Series([ParamPoly(tri.row(i), phi) for i in range(n)], n)
-    phi = Fraction(phi) if isinstance(phi, int) else phi
-    return Series(
-        [ParamPoly(tri.row(i), "phi")(phi) for i in range(n)], n
-    )
+    tri = composition_matrix(g, order).triangle
+    symbol = phi if isinstance(phi, str) else "phi"
+    power = Series([tri.row_poly(i, symbol) for i in range(tri.nrows)], tri.nrows)
+    return power if isinstance(phi, str) else power.eval_param(phi)
 
 
 def composition_sum(

@@ -310,14 +310,17 @@ class Series:
     def pow_param(self, symbol: str = "phi") -> "Series":
         """Formal power: coefficients become polynomials in a parameter.
 
+        [phi^m x^k] self^phi = [x^k] log(self)^m / m!, so coefficient k
+        reads row k off the columns of :func:`_power_columns` (column m
+        vanishes above row m, and ``ParamPoly`` drops those zeros).
         Specializing the parameter to any rational value gives the same
         result as :meth:`pow_rat` with that exponent.
         """
         if not self._rational:
             raise ValueError("pow_param needs purely rational coefficients")
-        t = ParamPoly.param(symbol)
-        scaled = Series([c * t for c in self.log().coeffs], self.order)
-        return scaled.exp()
+        cols = _power_columns(self.log(), self.order)
+        rows = zip(*(c.coeffs for c in cols))
+        return Series([ParamPoly(r, symbol) for r in rows], self.order)
 
     # -- comparison and display -----------------------------------------
 
@@ -347,6 +350,16 @@ class Series:
                 parts.append(xk if cs == "1" else f"{cs}*{xk}")
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O(x^{self.order})"
+
+
+def _power_columns(a: Series, n: int) -> list[Series]:
+    """c_0 = 1 and c_m = c_(m-1) a / m for m < n: the series a^m / m!,
+    one product each.  With a = log g, [x^k] c_m is the coefficient of
+    phi^m in [x^k] g^phi."""
+    cols = [one_series(n)]
+    for m in range(1, n):
+        cols.append(cols[-1] * a / m)
+    return cols
 
 
 # -- named constructors -------------------------------------------------

@@ -38,6 +38,12 @@ class Triangle:
     def identity(cls, n: int) -> "Triangle":
         return cls([[int(i == m) for m in range(i + 1)] for i in range(n)])
 
+    @classmethod
+    def from_columns(cls, cols) -> "Triangle":
+        """The triangle whose column m is ``cols[m]``, one row per column."""
+        n = len(cols)
+        return cls([[cols[m][i] for m in range(i + 1)] for i in range(n)])
+
     @property
     def nrows(self) -> int:
         return len(self.rows)

@@ -12,6 +12,7 @@ from math import factorial, gcd, perm
 import pytest
 
 from riordan import (
+    EXPONENTIAL,
     ORDINARY,
     NoBSequenceError,
     ParamPoly,
@@ -24,7 +25,7 @@ from riordan import (
 )
 from riordan.bexpansion import _b_coeffs, _odd_mults_cached
 from riordan.core import _as_series
-from riordan.matrixlog import _from_columns, bell_log
+from riordan.matrixlog import bell_log
 from riordan.rings import ONE, ZERO
 
 
@@ -84,7 +85,60 @@ def composition_matrix_oracle(g):
     triangle, column m = (1/m) log(g, xg) applied to column m-1.
     Reference for ``composition_matrix``, which applies the log to a
     column as one series product."""
-    return _from_columns(_scaled_powers(bell_log(g)))
+    return Triangle.from_columns(_scaled_powers(bell_log(g)))
+
+
+def pow_param_oracle(s, symbol="phi"):
+    """The formal power s^phi as exp(phi log s), the ``Series.exp``
+    recurrence run on ``ParamPoly`` coefficients.  Reference for
+    ``Series.pow_param``, which reads the coefficients of phi off the
+    series (log s)^m / m! instead."""
+    if not s._rational:
+        raise ValueError("pow_param needs purely rational coefficients")
+    t = ParamPoly.param(symbol)
+    scaled = Series([c * t for c in s.log().coeffs], s.order)
+    return scaled.exp()
+
+
+def convolution_rows_oracle(b, order):
+    """Rows of B^t = sum s_n(t) x^n unpacked from the parametric power
+    (``pow_param_oracle``) and padded with zeros.  Reference for
+    ``convolution_rows``, which takes the columns (log B)^m / m!."""
+    if b[0] != 1:
+        raise ValueError("convolution rows need B with constant term 1")
+    p = pow_param_oracle(b.pad_zeros(order), "t")
+    rows = []
+    for n in range(order):
+        cs = list(p[n].coeffs) if isinstance(p[n], ParamPoly) else [p[n]]
+        rows.append(cs + [ZERO] * (n + 1 - len(cs)))
+    return Triangle(rows)
+
+
+def riordan_triangle_oracle(m):
+    """The triangle of (f, xg) row by row from the columns f (xg)^k,
+    entry (i, k) scaled by i!/k! for the exponential kind.  Reference
+    for ``RiordanMatrix.triangle``, which assembles the same columns
+    with ``Triangle.from_columns``."""
+    n = m.order
+    w = m.xg()
+    col = m.f
+    columns = []
+    for k in range(n):
+        columns.append(col.coeffs)
+        if k + 1 < n:
+            col = col * w
+    rows = []
+    for i in range(n):
+        if m.kind == EXPONENTIAL:
+            fi = factorial(i)
+            row = [
+                columns[k][i] * Fraction(fi, factorial(k))
+                for k in range(i + 1)
+            ]
+        else:
+            row = [columns[k][i] for k in range(i + 1)]
+        rows.append(row)
+    return Triangle(rows)
 
 
 def _compositions(n: int, parts: tuple[int, ...]):

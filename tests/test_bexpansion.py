@@ -23,6 +23,7 @@ from conftest import (
     a_expand_oracle,
     b_expand_oracle,
     bcomp_row_oracle,
+    convolution_rows_oracle,
     poly_coeffs,
     rows_of,
 )
@@ -412,6 +413,18 @@ class TestPartitionSumOracles:
         for q in range(n % 2, n + 1, 2):
             assert sums.get(q, 0) == table[q][(n - q) // 2] / factorial(q)
         assert all((n - q) % 2 == 0 for q in sums)
+
+
+class TestConvolutionRowsOracle:
+    @given(
+        cs=st.lists(B_ENTRIES, max_size=15),
+        order=st.integers(1, 16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_parametric_power_rows(self, cs, order):
+        b = Series([1] + cs, len(cs) + 1)
+        got = convolution_rows(b, order)
+        assert got.rows == convolution_rows_oracle(b, order).rows
 
 
 class TestClosedFormEntries:

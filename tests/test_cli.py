@@ -1,12 +1,15 @@
 """End-to-end tests for the command-line interface (in-process)."""
 
 import json
+from functools import lru_cache
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import RNA_BCOMP_ROWS, RNA_MATRIX_ROWS, T
 from riordan import PARTITION_N_LIMIT
 from riordan.cli import main
+from riordan.exprparse import EXPR_EXPONENT_LIMIT
 from riordan.render import format_triangle
 
 RNA_TEXT = "\n".join(
@@ -440,6 +443,16 @@ class TestErrorHandling:
         assert err.count("\n") == 1
         assert err.startswith("error: ") and str(tmp_path) in err
 
+    @pytest.mark.parametrize("exponent", [EXPR_EXPONENT_LIMIT + 1, 10**7, 10**8])
+    def test_exponent_ceiling_is_input_error(self, capsys, exponent):
+        code, out, err = run(capsys, "matrix", "--g", f"2^{exponent}", "--rows", "2")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: syntax error at byte 2: expected"
+            f" |exponent| <= {EXPR_EXPONENT_LIMIT}\n"
+        )
+
     def test_eval_error_exit_code(self, capsys):
         code, _, err = run(capsys, "power", "--g", "1/x")
         assert code == 2
@@ -460,3 +473,73 @@ class TestErrorHandling:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("riordan ")
+
+
+_RATIONAL = st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(1, 9))
+_ATOMS = st.one_of(
+    st.integers(0, 9).map(str),
+    st.sampled_from(["x", "catalan", "rna", "geom"]),
+    st.integers(-3, 5).map(lambda r: f"binom_series({r})"),
+    st.lists(_RATIONAL, min_size=1, max_size=4).map(
+        lambda vs: f"coeffs([{','.join(vs)}])"
+    ),
+)
+
+
+@lru_cache(maxsize=None)
+def _grammar_exprs(depth, budget):
+    """Expression text from the grammar, nested at most ``depth`` deep,
+    with small literals.  The exponents along any path multiply to at
+    most ``budget``: the parser bounds each exponent, but nested powers
+    multiply, and ((2^1000)^1000)^1000 already takes about a minute."""
+    if depth == 0:
+        return _ATOMS
+    sub = _grammar_exprs(depth - 1, budget)
+    small = min(6, budget)
+    power = st.one_of(
+        st.integers(-small, small), st.sampled_from([-budget, budget])
+    ).flatmap(
+        lambda k: _grammar_exprs(depth - 1, budget // max(abs(k), 1)).map(
+            lambda e: f"({e})^{k}"
+        )
+    )
+    return st.one_of(
+        _ATOMS,
+        sub.map(lambda e: f"-({e})"),
+        sub.map(lambda e: f"sqrt({e})"),
+        st.builds(
+            lambda a, op, b: f"({a}){op}({b})",
+            sub, st.sampled_from("+-*/"), sub,
+        ),
+        power,
+    )
+
+
+GRAMMAR_EXPRS = _grammar_exprs(6, EXPR_EXPONENT_LIMIT)
+
+
+class TestHostileInput:
+    """Any expression the grammar accepts, fed to the series commands,
+    ends in exit 0, 1 or 2 and lets no exception escape."""
+
+    @given(
+        command=st.sampled_from(["matrix", "power", "bseq", "bexpand"]),
+        f=GRAMMAR_EXPRS,
+        g=GRAMMAR_EXPRS,
+        order=st.integers(1, 12),
+        phi=st.sampled_from(["0", "1", "-1/2", "3"]),
+    )
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_exit_status(self, capsys, command, f, g, order, phi):
+        argv = {
+            "matrix": ["matrix", f"--f={f}", f"--g={g}", f"--rows={order}"],
+            "power": ["power", f"--g={g}", f"--phi={phi}", f"--order={order}"],
+            "bseq": ["bseq", f"--f={f}", f"--g={g}", f"--order={order}"],
+            "bexpand": ["bexpand", f"--b={g}", f"--n={order - 1}"],
+        }[command]
+        assert main(argv) in (0, 1, 2)
+        capsys.readouterr()

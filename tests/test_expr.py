@@ -10,6 +10,7 @@ from conftest import S
 from riordan import binomial_series, catalan, geometric, rna_series
 from riordan.exprparse import (
     EXPR_DEPTH_LIMIT,
+    EXPR_EXPONENT_LIMIT,
     BinOp,
     CoeffList,
     EvalError,
@@ -150,6 +151,23 @@ class TestParseErrors:
             assert exc.value.expected == (
                 f"at most {EXPR_DEPTH_LIMIT} levels of nesting",
             )
+
+    def test_exponent_limit(self):
+        # |exponent| <= EXPR_EXPONENT_LIMIT parses; a larger one fails at
+        # the exponent's first byte (its sign, if any).
+        k = EXPR_EXPONENT_LIMIT
+        assert parse_expr(f"x^{k}") == Pow(Var(), k)
+        assert parse_expr(f"x^-{k}") == Pow(Var(), -k)
+        for bad, offset in [
+            (f"x^{k + 1}", 2),
+            (f"(1+x)^-{k + 1}", 6),
+            (f"x^2^{10 ** 9}", 4),
+            (f"  x ^ {k + 1}", 6),
+        ]:
+            with pytest.raises(ParseError) as exc:
+                parse_expr(bad)
+            assert exc.value.offset == offset
+            assert exc.value.expected == (f"|exponent| <= {k}",)
 
     def test_power_needs_integer(self):
         with pytest.raises(ParseError) as exc:

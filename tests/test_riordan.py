@@ -9,6 +9,7 @@ from riordan import (
     EXPONENTIAL,
     FactorizationError,
     NoBSequenceError,
+    ORDINARY,
     ParamPoly,
     RiordanMatrix,
     Series,
@@ -26,6 +27,7 @@ from conftest import (
     b_sequence_oracle,
     from_b_sequence_oracle,
     is_pseudo_involution_oracle,
+    riordan_triangle_oracle,
     rows_of,
 )
 
@@ -429,6 +431,22 @@ class TestDefiningIdentityOracles:
                 "least 2",
             )
         assert got == want
+
+
+COEFF_LISTS = st.lists(st.builds(F, st.integers(-5, 5), st.integers(1, 4)), max_size=14)
+
+
+class TestTriangleOracle:
+    @given(
+        f=COEFF_LISTS,
+        g=COEFF_LISTS,
+        order=st.integers(1, 14),
+        kind=st.sampled_from([ORDINARY, EXPONENTIAL]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_row_loop(self, f, g, order, kind):
+        m = RiordanMatrix(Series(f, order), Series(g, order), kind=kind)
+        assert m.triangle().rows == riordan_triangle_oracle(m).rows
 
 
 class TestSqrtFactorization:

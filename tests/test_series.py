@@ -16,7 +16,7 @@ from riordan import (
     x_series,
     zeros,
 )
-from conftest import S
+from conftest import S, pow_param_oracle
 
 F = Fraction
 
@@ -320,3 +320,46 @@ class TestAlgebraicProperties:
         lhs = (f * (f + 1)).compose(g)
         rhs = f.compose(g) * (f.compose(g) + 1)
         assert lhs == rhs
+
+
+# s = 1 + s_1 x + ... with s_i = p/q, |p| <= 9, q <= 7 (zeros included)
+UNIT_ENTRIES = st.builds(F, st.integers(-9, 9), st.integers(1, 7))
+
+
+class TestPowParamOracle:
+    """``pow_param`` reads the columns (log s)^m / m!; the oracle runs
+    ``exp`` on ``ParamPoly`` coefficients (``conftest``)."""
+
+    @given(
+        cs=st.lists(UNIT_ENTRIES, max_size=23),
+        order=st.integers(1, 24),
+        symbol=st.sampled_from(["phi", "t"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_exp_recurrence(self, cs, order, symbol):
+        s = Series([1] + cs, order)
+        got = s.pow_param(symbol)
+        want = pow_param_oracle(s, symbol)
+        assert got.order == want.order
+        assert [(c.symbol, c.coeffs) for c in got.coeffs] == [
+            (c.symbol, c.coeffs) for c in want.coeffs
+        ]
+
+    def test_rational_input_does_no_param_poly_arithmetic(self, monkeypatch):
+        calls = []
+        for name in ("__mul__", "__add__", "__radd__", "__rmul__"):
+            real = getattr(ParamPoly, name)
+
+            def counted(self, other, _real=real, _name=name):
+                calls.append(_name)
+                return _real(self, other)
+
+            monkeypatch.setattr(ParamPoly, name, counted)
+
+        def no_exp(self):
+            raise AssertionError("pow_param reached Series.exp")
+
+        monkeypatch.setattr(Series, "exp", no_exp)
+        s = Series([1, F(1, 2), -3, F(2, 7), 5, F(-1, 3)], 12)
+        s.pow_param()
+        assert calls == []
