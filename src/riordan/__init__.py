@@ -46,7 +46,6 @@ from .bexpansion import (
 from .core import (
     EXPONENTIAL,
     ORDINARY,
-    ConsistencyError,
     FactorizationError,
     NoBSequenceError,
     RiordanError,
@@ -83,7 +82,6 @@ __all__ = [
     "BCompMatrix",
     "CheckResult",
     "CompositionMatrix",
-    "ConsistencyError",
     "EXPONENTIAL",
     "FactorizationError",
     "NoBSequenceError",

@@ -12,15 +12,17 @@ only through q, so each is one sum over q of a weight times
 
 (Comtet, *Advanced Combinatorics*, 1974, sec. 3.3), accumulated once by
 :func:`_sums_by_parts`.  The convolution route reads the same numbers
-off the powers of B instead: s_j(m) = [x^j] B^m rebuilds the rows of
-<B> (:func:`bcomp_row_from_convolutions`) and generalizes to arbitrary
-powers of g^[phi] (:func:`power_poly`).  The all-parts analogue for
-the A-sequence (:func:`a_expand`) takes its sums over all partitions
-of n the same way, as [x^n] (a - 1)^q / q!.
+off the columns B^m / m! of the exponential Lagrange matrix (1, xB)_E
+(:func:`series._power_columns`, one product each), whose [x^j] is
+s_j(m) / m! with s_j(m) = [x^j] B^m: they rebuild the rows of <B>
+(:func:`bcomp_row_from_convolutions`), generalize them to powers of
+g^[phi] (:func:`power_poly`) and give the descending diagonals of
+(1, xB)_E (:func:`exp_lagrange_diagonal`).  The all-parts analogue for
+the A-sequence (:func:`a_expand`) reads its sums over all partitions
+of n off the same columns for (a - 1)/x.
 
 Closed forms for the classic cases B = 1/(1-x) (the RNA matrix),
-B = 1+x, and B = C(x), plus the descending-diagonal bridge to the
-exponential matrix (1, xB)_E, round out the module.
+B = 1+x, and B = C(x) round out the module.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd, perm
 
 from .rings import ONE, ZERO, ParamPoly, binomial, falling_factorial
-from .series import Series, _power_columns, one_series
+from .series import Series, _power_columns
 from .triangle import Triangle
 
 PARTITION_N_LIMIT = 80  # counts stay in the tens of thousands here
@@ -206,19 +208,19 @@ def a_expand(a: Series, n: int, symbol: str = "phi") -> ParamPoly:
 
     Sums phi (phi+n-1)_{q-1} S_q over q, where S_q sums
     prod a_i^{m_i} / (m_1! ... m_n!) over the partitions of n with q
-    parts, read off as S_q = [x^n] (a - 1)^q / q!; requires a(0) = 1.
+    parts, read off column q of :func:`_power_columns` for (a - 1)/x
+    as S_q = [x^(n-q)] ((a - 1)/x)^q / q!; requires a(0) = 1.
     """
     if a[0] != 1:
         raise ValueError("a_expand requires an A-series with constant term 1")
     if n == 0:
         return ParamPoly.const(1, symbol)
-    table = _power_table((a.pad_zeros(n + 1) - 1).shift_down(1), n - 1, n)
+    cols = _power_columns((a.pad_zeros(n + 1) - 1).shift_down(1), n + 1)
     phi = ParamPoly.param(symbol)
     total = ParamPoly((), symbol)
     for q in range(1, n + 1):
-        s = table[q][n - q]
+        s = cols[q][n - q]
         if s:
-            s /= factorial(q)
             total = total + phi * falling_factorial(phi + (n - 1), q - 1) * s
     return total
 
@@ -399,17 +401,6 @@ def dissection_matrix(order: int) -> Triangle:
 # -- convolution-polynomial route ---------------------------------------
 
 
-def _power_table(b: Series, jmax: int, mmax: int) -> list[list[Fraction]]:
-    """table[m][j] = [x^j] B^m for 0 <= j <= jmax, 0 <= m <= mmax."""
-    base = b.pad_zeros(jmax + 1)
-    table = [[ONE] + [ZERO] * jmax]
-    p = one_series(jmax + 1)
-    for _ in range(mmax):
-        p = p * base
-        table.append(list(p.coeffs))
-    return table
-
-
 def convolution_rows(b: Series, order: int) -> Triangle:
     """Triangle of convolution polynomials: row n holds the coefficients
     of s_n(t) with B^t = sum s_n(t) x^n, so column m is (log B)^m / m!."""
@@ -419,19 +410,15 @@ def convolution_rows(b: Series, order: int) -> Triangle:
 
 
 def bcomp_row_from_convolutions(b: Series, n: int, symbol: str = "x") -> ParamPoly:
-    """Row n of <B> rebuilt through s_j(m) = [x^j] B^m."""
+    """Row n of <B> read off the columns B^m / m! of (1, xB)_E: entry m
+    is ((n+m)/2)_{m-1} [x^{(n-m)/2}] B^m / m!."""
     if n == 0:
         return ParamPoly.const(1, symbol)
-    table = _power_table(b, n // 2, n)
+    need = (n + 1) // 2
+    cols = _power_columns(Series(_b_coeffs(b, need), need), n + 1)
     coeffs = [ZERO] * (n + 1)
-    for m in range(1, n + 1):
-        if (n - m) % 2:
-            continue
-        j = (n - m) // 2
-        s = table[m][j]
-        if s:
-            k = (n + m) // 2
-            coeffs[m] = falling_factorial(Fraction(k), m - 1) * s / factorial(m)
+    for m in range(n % 2 or 2, n + 1, 2):
+        coeffs[m] = perm((n + m) // 2, m - 1) * cols[m][(n - m) // 2]
     return ParamPoly(coeffs, symbol)
 
 
@@ -440,37 +427,31 @@ def power_poly(b: Series, n: int, phi=1, symbol: str = "beta") -> ParamPoly:
 
     g^[phi] is the series whose B-function is phi*B; the coefficient of
     x^n in its beta-th power is
-    sum_m beta (beta+(n+m)/2-1)_{m-1} s_{(n-m)/2}(m)/m! phi^m.
+    sum_m beta (beta+(n+m)/2-1)_{m-1} phi^m [x^{(n-m)/2}] B^m / m!,
+    read off the columns B^m / m! of (1, xB)_E.
     """
     if n == 0:
         return ParamPoly.const(1, symbol)
-    phi = Fraction(phi) if isinstance(phi, int) else phi
-    table = _power_table(b, n // 2, n)
+    need = (n + 1) // 2
+    cols = _power_columns(Series(_b_coeffs(b, need), need), n + 1)
     beta = ParamPoly.param(symbol)
     total = ParamPoly((), symbol)
-    pw = phi
-    for m in range(1, n + 1):
-        if (n - m) % 2 == 0:
-            j = (n - m) // 2
-            s = table[m][j]
-            if s:
-                k = Fraction(n + m, 2)
-                poly = beta * falling_factorial(beta + (k - 1), m - 1)
-                total = total + poly * (s * pw / factorial(m))
-        pw *= phi
+    for m in range(n % 2 or 2, n + 1, 2):
+        s = cols[m][(n - m) // 2]
+        if s:
+            k = (n + m) // 2
+            poly = beta * falling_factorial(beta + (k - 1), m - 1)
+            total = total + poly * (s * phi ** m)
     return total
 
 
 def exp_lagrange_diagonal(b: Series, n: int, order: int) -> Series:
     """Descending diagonal n of the exponential matrix (1, xB(x))_E.
 
-    Entry m of the result is (n+m)!/m! * [x^n] B^m.
+    Entry m is (n+m)! [x^n] B^m / m!, read off column m of the matrix.
     """
-    table = _power_table(b, n, order - 1)
-    out = []
-    for m in range(order):
-        out.append(Fraction(factorial(n + m), factorial(m)) * table[m][n])
-    return Series(out, order)
+    cols = _power_columns(Series(_b_coeffs(b, n + 1), n + 1), order)
+    return Series([factorial(n + m) * c[n] for m, c in enumerate(cols)], order)
 
 
 def is_appell_type(b: Series, order: int) -> bool:

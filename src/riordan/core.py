@@ -35,10 +35,6 @@ class FactorizationError(RiordanError):
     """Raised when the square-root factorization fails its checks."""
 
 
-class ConsistencyError(RiordanError):
-    """Raised when two independent computations of one object disagree."""
-
-
 def _as_series(v, order=None):
     if isinstance(v, Series):
         return v
@@ -244,12 +240,7 @@ class RiordanMatrix:
             raise FactorizationError(
                 "factorization inconsistency: h(x) h(-x) != 1"
             )
-        s = (h - 1 / h) / 2
-        if s.alternate() != -s:
-            raise FactorizationError(
-                "factorization inconsistency: odd part is not odd"
-            )
-        return h, s
+        return h, (h - 1 / h) / 2
 
 
 # -- constructions from defining sequences ------------------------------

@@ -24,11 +24,14 @@ Tree depth and parenthesis nesting are at most ``EXPR_DEPTH_LIMIT``, and
 a power's exponent is at most ``EXPR_EXPONENT_LIMIT`` in absolute value;
 other input is a ParseError, not a RecursionError in the parser, the
 evaluator or the renderer, nor a run whose cost grows with the exponent.
+Nested powers multiply their exponents, so a power with a coefficient
+longer than ``sys.get_int_max_str_digits()`` digits is an EvalError.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -343,7 +346,7 @@ def _eval(node: Expr, order: int) -> Series:
             return left * right
         return left / right
     if isinstance(node, Pow):
-        return _eval(node.base, order) ** node.exponent
+        return _check_digits(_eval(node.base, order) ** node.exponent, node)
     if isinstance(node, Sqrt):
         return _eval(node.operand, order).sqrt()
     if isinstance(node, NamedSeries):
@@ -357,6 +360,16 @@ def _eval(node: Expr, order: int) -> Series:
     if isinstance(node, CoeffList):
         return from_coeffs(node.values, order)
     raise EvalError(f"cannot evaluate node {node!r}")
+
+
+def _check_digits(s: Series, node: Pow) -> Series:
+    limit = sys.get_int_max_str_digits()  # 0 means no limit
+    top = max(max(abs(c.numerator), c.denominator) for c in s.coeffs)
+    if limit and top >= 10 ** limit:
+        raise EvalError(
+            f"{render_expr(node)} has a coefficient of more than {limit} digits"
+        )
+    return s
 
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5

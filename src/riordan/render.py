@@ -9,6 +9,7 @@ right-padded), which matches the visual layout of a printed triangle.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,7 +21,15 @@ FORMATS = ("text", "json", "csv")
 
 
 def _cell(value) -> str:
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # int -> str is capped at sys.get_int_max_str_digits()
+        cs = value.coeffs if isinstance(value, ParamPoly) else (value,)
+        bits = max(max(abs(c.numerator), c.denominator).bit_length() for c in cs)
+        raise ValueError(
+            f"a coefficient of about {int(bits * 0.30103) + 1} digits is over"
+            f" the {sys.get_int_max_str_digits()}-digit output limit"
+        ) from None
 
 
 def triangle_rows(tri: Triangle) -> list[list[str]]:
@@ -92,7 +101,7 @@ def format_poly(poly: ParamPoly, fmt: str = "text", header: bool = False) -> str
         if not any_term:
             lines.append("0,0")
         return "\n".join(lines)
-    return str(poly)
+    return _cell(poly)
 
 
 def format_pairs(pairs: Sequence[tuple[str, Series]], fmt: str = "text") -> str:

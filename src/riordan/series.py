@@ -354,9 +354,11 @@ class Series:
 
 def _power_columns(a: Series, n: int) -> list[Series]:
     """c_0 = 1 and c_m = c_(m-1) a / m for m < n: the series a^m / m!,
-    one product each.  With a = log g, [x^k] c_m is the coefficient of
-    phi^m in [x^k] g^phi."""
-    cols = [one_series(n)]
+    one product each, all to the order of a (n may exceed it).  x^m c_m
+    is column m of the exponential matrix (1, xa)_E.  With a = log g,
+    [x^k] c_m is the coefficient of phi^m in [x^k] g^phi; with a = B,
+    [x^j] c_m is the convolution number s_j(m) = [x^j] B^m over m!."""
+    cols = [one_series(a.order)]
     for m in range(1, n):
         cols.append(cols[-1] * a / m)
     return cols

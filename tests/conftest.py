@@ -376,6 +376,70 @@ def bcomp_row_oracle(bs, n):
     return row
 
 
+def power_table_oracle(b: Series, jmax: int, mmax: int) -> list[list[Fraction]]:
+    """table[m][j] = [x^j] B^m for 0 <= j <= jmax, 0 <= m <= mmax."""
+    base = b.pad_zeros(jmax + 1)
+    table = [[ONE] + [ZERO] * jmax]
+    p = one_series(jmax + 1)
+    for _ in range(mmax):
+        p = p * base
+        table.append(list(p.coeffs))
+    return table
+
+
+def bcomp_row_from_convolutions_oracle(b, n, symbol="x"):
+    """Row n of <B> rebuilt through s_j(m) = [x^j] B^m, from a table of
+    plain powers divided by m!.  Reference for
+    ``bcomp_row_from_convolutions``, which reads B^m / m! off
+    ``_power_columns``."""
+    if n == 0:
+        return ParamPoly.const(1, symbol)
+    table = power_table_oracle(b, n // 2, n)
+    coeffs = [ZERO] * (n + 1)
+    for m in range(1, n + 1):
+        if (n - m) % 2:
+            continue
+        j = (n - m) // 2
+        s = table[m][j]
+        if s:
+            k = (n + m) // 2
+            coeffs[m] = falling_factorial(Fraction(k), m - 1) * s / factorial(m)
+    return ParamPoly(coeffs, symbol)
+
+
+def power_poly_oracle(b, n, phi=1, symbol="beta"):
+    """[x^n] (g^[phi])^beta from a table of plain powers of B.
+    Reference for ``power_poly``."""
+    if n == 0:
+        return ParamPoly.const(1, symbol)
+    phi = Fraction(phi) if isinstance(phi, int) else phi
+    table = power_table_oracle(b, n // 2, n)
+    beta = ParamPoly.param(symbol)
+    total = ParamPoly((), symbol)
+    pw = phi
+    for m in range(1, n + 1):
+        if (n - m) % 2 == 0:
+            j = (n - m) // 2
+            s = table[m][j]
+            if s:
+                k = Fraction(n + m, 2)
+                poly = beta * falling_factorial(beta + (k - 1), m - 1)
+                total = total + poly * (s * pw / factorial(m))
+        pw *= phi
+    return total
+
+
+def exp_lagrange_diagonal_oracle(b, n, order):
+    """Descending diagonal n of (1, xB(x))_E, entry m = (n+m)!/m! [x^n] B^m
+    from a table of plain powers.  Reference for
+    ``exp_lagrange_diagonal``."""
+    table = power_table_oracle(b, n, order - 1)
+    out = []
+    for m in range(order):
+        out.append(Fraction(factorial(n + m), factorial(m)) * table[m][n])
+    return Series(out, order)
+
+
 @pytest.fixture
 def fr():
     return Fraction

@@ -22,9 +22,12 @@ from conftest import (
     S,
     a_expand_oracle,
     b_expand_oracle,
+    bcomp_row_from_convolutions_oracle,
     bcomp_row_oracle,
     convolution_rows_oracle,
+    exp_lagrange_diagonal_oracle,
     poly_coeffs,
+    power_poly_oracle,
     rows_of,
 )
 from riordan import (
@@ -62,7 +65,9 @@ from riordan import (
     rna_row_closed,
     rna_series,
 )
-from riordan.bexpansion import _odd_mults, _power_table, _sums_by_parts
+from riordan.bexpansion import _odd_mults, _sums_by_parts
+from riordan.series import _power_columns
+from conftest import power_table_oracle as _power_table
 
 # B-sequences used repeatedly; padded with explicit zeros so the
 # coefficient window covers everything the formulas ask for.
@@ -425,6 +430,54 @@ class TestConvolutionRowsOracle:
         b = Series([1] + cs, len(cs) + 1)
         got = convolution_rows(b, order)
         assert got.rows == convolution_rows_oracle(b, order).rows
+
+
+class TestPowerColumnReaders:
+    """The readers of the columns B^m / m! against the bodies they
+    replaced (``conftest``), which divide a table of plain powers by m!."""
+
+    @given(b=B_WINDOWS, n=st.integers(0, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_bcomp_row_from_convolutions(self, b, n):
+        got = bcomp_row_from_convolutions(b, n)
+        want = bcomp_row_from_convolutions_oracle(b, n)
+        assert (got.symbol, got.coeffs) == (want.symbol, want.coeffs)
+
+    @given(b=B_WINDOWS, n=st.integers(0, 20), phi=B_ENTRIES)
+    @settings(max_examples=60, deadline=None)
+    def test_power_poly(self, b, n, phi):
+        got, want = power_poly(b, n, phi), power_poly_oracle(b, n, phi)
+        assert (got.symbol, got.coeffs) == (want.symbol, want.coeffs)
+
+    @given(b=B_WINDOWS, n=st.integers(0, 20), order=st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_exp_lagrange_diagonal(self, b, n, order):
+        b = b.pad_zeros(n + 1)  # B_WINDOWS are polynomials
+        got = exp_lagrange_diagonal(b, n, order)
+        want = exp_lagrange_diagonal_oracle(b, n, order)
+        assert (got.order, got.coeffs) == (want.order, want.coeffs)
+
+    @given(b=B_WINDOWS, m=st.integers(0, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_columns_are_scaled_powers(self, b, m):
+        col = _power_columns(b, m + 1)[m]
+        table = _power_table(b, b.order - 1, m)
+        assert [c * factorial(m) for c in col.coeffs] == table[m]
+
+    def test_short_window_refused(self):
+        # catalan(3) knows 3 coefficients; row n reads (n + 1)//2 and
+        # diagonal n reads n + 1, as the partition route does.
+        b = catalan(3)
+        with pytest.raises(ValueError, match="only known to order 3; need 5"):
+            bcomp_row_from_convolutions(b, 10)
+        with pytest.raises(ValueError, match="only known to order 3; need 5"):
+            power_poly(b, 10)
+        with pytest.raises(ValueError, match="only known to order 3; need 6"):
+            exp_lagrange_diagonal(b, 5, 4)
+        mat = bcomp_matrix(b, 7)
+        for n in range(7):
+            assert bcomp_row_from_convolutions(b, n) == mat.row_poly(n)
+        assert exp_lagrange_diagonal(b, 2, 4) == exp_lagrange_diagonal_oracle(b, 2, 4)
 
 
 class TestClosedFormEntries:

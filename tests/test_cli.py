@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface (in-process)."""
 
 import json
+import sys
+import time
 from functools import lru_cache
 
 import pytest
@@ -10,6 +12,7 @@ from conftest import RNA_BCOMP_ROWS, RNA_MATRIX_ROWS, T
 from riordan import PARTITION_N_LIMIT
 from riordan.cli import main
 from riordan.exprparse import EXPR_EXPONENT_LIMIT
+from riordan.exprparse import EvalError, ParseError, eval_expr, parse_expr
 from riordan.render import format_triangle
 
 RNA_TEXT = "\n".join(
@@ -407,6 +410,10 @@ class TestOeisCompare:
         assert err == f"error: --min-match 8 needs at least 8 terms, got {count}\n"
 
 
+POW_TOO_LONG = "(2^1000)^1000 has a coefficient of more than 4300 digits"
+PRINT_TOO_LONG = "a coefficient of about 4516 digits is over the 4300-digit output limit"
+
+
 class TestErrorHandling:
     def test_parse_error_exit_code(self, capsys):
         code, out, err = run(capsys, "matrix", "--g", "1+")
@@ -452,6 +459,29 @@ class TestErrorHandling:
             "error: syntax error at byte 2: expected"
             f" |exponent| <= {EXPR_EXPONENT_LIMIT}\n"
         )
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("(2^1000)^1000", POW_TOO_LONG),
+            ("((2^1000)^1000)^1000", POW_TOO_LONG),
+            ("*".join(["2^1000"] * 15), PRINT_TOO_LONG),
+        ],
+        ids=["power", "nested-power", "product"],
+    )
+    def test_oversized_coefficient_is_input_error(self, capsys, expr, message):
+        # The power is refused when it is evaluated, the product when it
+        # is rendered; either way the nested case does not run for minutes.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            start = time.perf_counter()
+            code, out, err = run(capsys, "matrix", "--g", expr, "--rows", "2")
+            elapsed = time.perf_counter() - start
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert elapsed < 2
 
     def test_eval_error_exit_code(self, capsys):
         code, _, err = run(capsys, "power", "--g", "1/x")
@@ -543,3 +573,65 @@ class TestHostileInput:
         }[command]
         assert main(argv) in (0, 1, 2)
         capsys.readouterr()
+
+    @given(
+        command=st.sampled_from(
+            ["aseq", "sqrt-factor", "diag", "comp-poly", "bcomp", "oeis-compare"]
+        ),
+        f=GRAMMAR_EXPRS,
+        g=GRAMMAR_EXPRS,
+        order=st.integers(1, 12),
+        index=st.integers(-2, 13),
+        direction=st.sampled_from(["down", "up"]),
+        vendored=st.sampled_from(["A033282", "A090181", "A097724", "A107131"]),
+    )
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_other_commands_exit_status(
+        self, capsys, command, f, g, order, index, direction, vendored
+    ):
+        argv = {
+            "aseq": ["aseq", f"--g={g}", f"--order={order}"],
+            "sqrt-factor": ["sqrt-factor", f"--g={g}", f"--order={order}"],
+            "diag": [
+                "diag", f"--f={f}", f"--g={g}", f"--rows={order}",
+                f"--index={index}", f"--direction={direction}",
+            ],
+            "comp-poly": ["comp-poly", f"--g={g}", f"--rows={order}"],
+            "bcomp": ["bcomp", f"--b={g}", f"--rows={order}"],
+            "oeis-compare": [
+                "oeis-compare", f"--vendored={vendored}", f"--expr={g}",
+                f"--order={order}", f"--min-match={max(order // 2, 1)}",
+            ],
+        }[command]
+        assert main(argv) in (0, 1, 2)
+        capsys.readouterr()
+
+    @given(
+        text=st.lists(
+            st.one_of(
+                st.sampled_from(list("x0123456789+-*/^()[],. ")),
+                st.sampled_from(
+                    ["sqrt", "catalan", "rna", "geom", "coeffs", "binom_series"]
+                ),
+                st.characters(),
+            ),
+            max_size=30,
+        ).map("".join),
+        order=st.integers(1, 12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_raw_text(self, text, order):
+        # Any text either parses or is a ParseError, and a parsed tree
+        # either evaluates or is an EvalError.
+        try:
+            tree = parse_expr(text)
+        except ParseError:
+            return
+        try:
+            eval_expr(tree, order)
+        except EvalError:
+            pass

@@ -1,5 +1,6 @@
 """Tests for the expression parser, evaluator, and renderer."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,28 @@ class TestEval:
         with pytest.raises(EvalError, match="at least 1"):
             ev("binom_series(0)")
 
+
+    @pytest.fixture
+    def digit_limit(self):
+        """Set Python's int -> str digit limit; restore it afterwards."""
+        old = sys.get_int_max_str_digits()
+        yield sys.set_int_max_str_digits
+        sys.set_int_max_str_digits(old)
+
+    def test_power_digit_limit(self, digit_limit):
+        # 10^999 has 1000 digits, 10^1000 has 1001; denominators count too.
+        digit_limit(1000)
+        assert ev("10^999", 2)[0] == 10**999
+        assert ev("(1/10)^999", 2)[0] == Fraction(1, 10**999)
+        for text in ("10^1000", "(1/10)^1000", "(10^500)^2"):
+            with pytest.raises(EvalError, match="more than 1000 digits"):
+                ev(text, 2)
+        # Only a power is checked: a product is left to the renderer.
+        assert ev("10^999*10", 2)[0] == 10**1000
+
+    def test_power_digit_limit_off(self, digit_limit):
+        digit_limit(0)
+        assert ev("(10^1000)^5", 2)[0] == 10**5000
 
 # Expressions that parse, render, and evaluate without error.
 CORPUS = [

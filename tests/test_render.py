@@ -1,6 +1,7 @@
 """Tests for text/JSON/CSV serialization of triangles, series, polys."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -126,3 +127,26 @@ class TestPairs:
 
 def test_format_names():
     assert FORMATS == ("text", "json", "csv")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_oversized_coefficient_is_one_line(fmt):
+    # 2^15000 has 4516 digits, over Python's default 4300-digit limit.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        big = Fraction(1, 2**15000)
+        for render in (
+            lambda: format_triangle(T([[1], [big, 1]]), fmt),
+            lambda: format_series(S([1, big]), fmt),
+            lambda: format_poly(ParamPoly([1, big]), fmt),
+            lambda: format_pairs([("h", S([big]))], fmt),
+        ):
+            with pytest.raises(ValueError) as exc:
+                render()
+            assert str(exc.value) == (
+                "a coefficient of about 4516 digits is over"
+                " the 4300-digit output limit"
+            )
+    finally:
+        sys.set_int_max_str_digits(limit)
