@@ -3,12 +3,16 @@
 For g with g(0) = 1, K = (g, xg) - I is nilpotent at any finite
 truncation.  Everything here derives, in one direction, from the log
 generator b: ``log_generator`` sums column 0 of log(g, xg) as
-sum_{p>=1} (-1)^(p-1)/p K^p e_0 and divides it by x; ``bell_log``
-fills log(g, xg) = (b(x), x) D^T, entry (i, m) = (m+1) b_(i-m-1)
-(Jabotinsky, "Analytic iteration", Trans. AMS 1963); and
-``composition_matrix`` has column m = (1/m!) log(g, xg)^m e_0, whose
-rows, read as polynomials, interpolate the coefficients of g^(phi).
-Applying (b, x) D^T to a column v is x b (xv)', so the columns follow
+sum_{p>=1} (-1)^(p-1)/p K^p e_0 and divides it by x, on integers: the
+strictly lower part of (g, xg) is scaled once to integer rows over the
+lcm of its denominators, each K^p e_0 and the partial sum are integer
+vectors over one denominator, and a ``Fraction`` is built once per
+coefficient at the end.  ``bell_log`` fills log(g, xg) = (b(x), x) D^T,
+entry (i, m) = (m+1) b_(i-m-1) (Jabotinsky, "Analytic iteration",
+Trans. AMS 1963); and ``composition_matrix`` has column
+m = (1/m!) log(g, xg)^m e_0, whose rows, read as polynomials,
+interpolate the coefficients of g^(phi).  Applying (b, x) D^T to a
+column v is x b (xv)', so the columns follow
 c_m = x b ((beta + xD) c_{m-1}) / m with beta = 1, one series product
 each; ``composition_sum`` reads [x^n] (g^(phi))^beta off the same
 recurrence for any beta, from b alone.
@@ -18,9 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
+from ._purekernels import _integers
 from .core import RiordanMatrix
-from .rings import ONE, ZERO, ParamPoly
+from .rings import ZERO, ParamPoly
 from .series import Series, one_series
 from .triangle import Triangle
 
@@ -41,11 +48,15 @@ def _composition_columns(b: Series, n: int, beta) -> list[Series]:
     """Columns c_0 .. c_(n-1), each of order n, of c_0 = 1 and
     c_m = x b ((beta + xD) c_(m-1)) / m: [phi^m x^i] (g^(phi))^beta for
     the log generator b of g.  b needs order n - 1 (any order when
-    n = 1)."""
+    n = 1).  With beta = p/q and c_(m-1) = nums/den over integers,
+    coefficient s of (beta + xD) c_(m-1) / m is (p + sq) nums_s / (mq den)."""
     xb = b.shift_up(1, extend=True)
+    p, q = beta.numerator, beta.denominator
     cols = [one_series(n)]
     for m in range(1, n):
-        w = [(beta + s) * c / m for s, c in enumerate(cols[-1].coeffs)]
+        nums, den = _integers(cols[-1].coeffs)
+        den *= m * q
+        w = [Fraction((p + s * q) * c, den) for s, c in enumerate(nums)]
         cols.append(xb * Series(w, n))
     return cols
 
@@ -53,17 +64,39 @@ def _composition_columns(b: Series, n: int, beta) -> list[Series]:
 def log_generator(g: Series, order: int | None = None) -> Series:
     """The series b with log(g, xg) = (b(x), x) D^T: column 0 of the log
     divided by x, so b(0) = g'(0).  It also solves
-    g^2 b(xg) = b (xg)' (Julia's equation for h = x^2 b)."""
+    g^2 b(xg) = b (xg)' (Julia's equation for h = x^2 b).
+
+    Column 0 of the log is sum_{p>=1} (-1)^(p-1)/p K^p e_0 with
+    K = (g, xg) - I.  The diagonal of (g, xg) is 1 and cancels, so K is
+    the strictly lower part of the triangle, scaled once to integer rows
+    over the lcm of its denominators.  K^p e_0 and the partial sum stay
+    integer vectors over one denominator, reduced by one gcd each per p;
+    the entries of K^p e_0 below index p vanish and are skipped.  b has
+    order n - 1, so g needs order n >= 2."""
     g = _prepare(g, order)
     n = g.order
-    k = RiordanMatrix(g, g).triangle().add(Triangle.identity(n).scale(-1))
-    col, vec = [ZERO] * n, [ONE] + [ZERO] * (n - 1)
+    if n < 2:
+        raise ValueError(f"log_generator needs g to order at least 2, got order {n}")
+    if not g.is_rational():
+        raise ValueError("log_generator needs g with rational coefficients")
+    lower = [row[:-1] for row in RiordanMatrix(g, g).triangle().rows]
+    den = lcm(*[c.denominator for row in lower for c in row])
+    k = [[c.numerator * (den // c.denominator) for c in row] for row in lower]
+    vec, vden = [1] + [0] * (n - 1), 1  # K^p e_0 = vec / vden
+    col, cden = [0] * n, 1  # the partial sum, col / cden
     for p in range(1, n):
-        vec = k.apply_vec(vec)
+        vec = [0] * p + [sum(map(mul, row[p - 1:], vec[p - 1:])) for row in k[p:]]
         if not any(vec):
             break
-        col = [c + Fraction((-1) ** (p - 1), p) * v for c, v in zip(col, vec)]
-    return Series(col, n).shift_down(1)
+        r = gcd(vden * den, *vec)
+        vec, vden = [v // r for v in vec], vden * den // r
+        tden = p * vden
+        full = lcm(cden, tden)
+        a, t = full // cden, (full // tden) * (-1) ** (p - 1)
+        col = [c * a + v * t for c, v in zip(col, vec)]
+        r = gcd(full, *col)
+        col, cden = [c // r for c in col], full // r
+    return Series([Fraction(c, cden) for c in col[1:]], n - 1)
 
 
 def bell_log(g: Series, order: int | None = None) -> Triangle:

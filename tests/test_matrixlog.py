@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from riordan import (
     RiordanMatrix,
+    ParamPoly,
     Series,
     Triangle,
     bell_log,
@@ -27,6 +28,7 @@ from conftest import (
     bell_log_oracle,
     composition_matrix_oracle,
     composition_sum_oracle,
+    log_generator_oracle,
     rows_of,
     triangle_exp,
 )
@@ -153,7 +155,7 @@ class TestNilpotentSeriesOracle:
     def test_log_generator(self, name, order):
         g = ORACLE_PAIRS[name](order)
         if order == 1:  # column 0 of the log divided by x is empty
-            with pytest.raises(ValueError, match="empty series"):
+            with pytest.raises(ValueError, match="order at least 2"):
                 log_generator(g)
             return
         want = bell_log_oracle(g).column(0).shift_down(1)
@@ -303,13 +305,78 @@ class TestCompositionSum:
 
 # g = 1 + g_1 x + ... with g_i = p/q, |p| <= 4, q <= 3 (zeros included)
 G_ENTRIES = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+# denominators that stress a single lcm: a large power of two, 2*3, 7*11
+WIDE_ENTRIES = st.builds(
+    Fraction, st.integers(-9, 9), st.sampled_from([1, 2**20, 6, 7 * 11])
+)
 
 
-def unit_series(order):
+def unit_series(order, entries=G_ENTRIES):
     """Strategy for series with constant term 1 and the given order."""
-    return st.lists(G_ENTRIES, max_size=order - 1).map(
+    return st.lists(entries, max_size=order - 1).map(
         lambda cs: Series([1] + cs, order)
     )
+
+
+def _same_series(got, want):
+    assert (got.order, got.coeffs) == (want.order, want.coeffs)
+
+
+class TestLogGeneratorOracle:
+    """The integer mat-vecs against the ``Fraction`` mat-vecs they
+    replaced (``conftest.log_generator_oracle``): same coefficients,
+    same order."""
+
+    @given(
+        data=st.data(),
+        order=st.integers(2, 24),
+        entries=st.sampled_from([G_ENTRIES, WIDE_ENTRIES]),
+        graded=st.booleans(),
+        flat=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_series(self, data, order, entries, graded, flat):
+        cs = list(data.draw(unit_series(order, entries)).coeffs)
+        if flat:  # g_1 = 0
+            cs[1] = F(0)
+        if graded:  # coefficient k over 16^k, as in sqrt(1 + x)
+            cs = [c / 16**k for k, c in enumerate(cs)]
+        g = Series(cs, order)
+        _same_series(log_generator(g), log_generator_oracle(g))
+
+    @pytest.mark.parametrize("order", [2, 3, 9, 24])
+    def test_unit_series_stops_at_first_power(self, order):
+        # g = 1: K = 0, so the sum stops at p = 1 with b = 0
+        g = one_series(order)
+        _same_series(log_generator(g), log_generator_oracle(g))
+        assert not any(log_generator(g).coeffs)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            rna_series,
+            lambda n: Series([1, 1], n).sqrt(),
+            lambda n: Series([1 - k % 2 for k in range(n)], n),
+        ],
+        ids=["rna", "sqrt1px", "even"],
+    )
+    def test_order_48(self, make):
+        g = make(48)
+        _same_series(log_generator(g), log_generator_oracle(g))
+
+    def test_order_argument(self):
+        g = catalan(20)
+        _same_series(log_generator(g, 9), log_generator_oracle(g, 9))
+
+    def test_order_one_names_the_input(self):
+        for g, order in ((Series([1], 1), None), (rna_series(5), 1)):
+            with pytest.raises(ValueError, match="needs g to order at least 2"):
+                log_generator(g, order)
+
+    def test_symbolic_g_refused(self):
+        g = Series([1, ParamPoly.param("t"), 1], 3)
+        with pytest.raises(ValueError, match="rational coefficients"):
+            log_generator(g)
 
 
 class TestCompositionOracles:
