@@ -3,22 +3,27 @@
 Usage (from the repository root)::
 
     python3 benchmarks/trajectory.py --parent HEAD~1 --label 14
-    python3 benchmarks/trajectory.py --parent 7daab87 --child HEAD \\
-        --label 14 --seeds 1 2 3 --seconds 24
 
-Both revisions are extracted with ``git archive <rev> | tar -x`` into a
+The parent revision and HEAD are extracted with ``git archive <rev> | tar -x`` into a
 temporary directory, so only committed files are measured and no
 worktree entry is left in ``.git``.  For each workload of
-``BENCHMARK.json`` and each seed, ``perfbench/run.py --trace 0`` runs once
-in each tree, the order alternating from seed to seed (P, C, then C, P,
-...), so a drift of the machine weighs on both sides alike.
+``BENCHMARK.json`` and each of ten seeds, ``perfbench/run.py --trace 0``
+runs once in each tree for the ``run_seconds`` of ``BENCHMARK.json``, the
+order alternating from seed to seed (P, C, then C, P, ...), so a drift of
+the machine weighs on both sides alike.
 
 The output holds the environment (both SHAs, and Python, ``nproc`` and
-CPU as ``perfbench/run.py`` reports them), the
-median and interquartile range of each end-to-end metric on each side,
-and the child/parent ratio with its distance from the ``BENCHMARK.json``
-bound: ``worse_by`` is the relative change in the bad direction (negative
-when the child is better), and ``within_bound`` is ``worse_by <= bound``.
+CPU as ``perfbench/run.py`` reports them), the median and interquartile
+range of each end-to-end metric on each side, and the child/parent
+comparison: ``worse_by`` is the relative change of the medians in the bad
+direction (negative when the child is better), ``within_bound`` is
+``worse_by <= bound``, ``wins`` counts the seeds whose child run reads
+strictly better than its parent run, and ``spread`` is the wider of the
+two sides' IQR over median.  ``verdict`` is "better" when the child wins
+at least nine tenths of the pairs and its median beats the parent's by
+more than the parent's IQR; "worse" when it is out of bound; "unresolved"
+when the spread is wider than the bound and not every child run beats
+every parent run; and "unchanged" otherwise.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = list(range(1, 11))  # ten alternating parent/child pairs per workload
 
 
 def summarize(values: list[float]) -> dict:
@@ -44,17 +50,33 @@ def summarize(values: list[float]) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1, "runs": values}
 
 
-def compare(parent: dict, child: dict, metric: dict) -> dict:
+def compare(parent: list[float], child: list[float], metric: dict) -> dict:
     """Child against parent for one end-to-end metric of ``BENCHMARK.json``
-    (``name``, ``better``, ``bound``), from their ``summarize`` results."""
-    p, c = parent["median"], child["median"]
-    ratio = c / p
-    worse_by = ratio - 1 if metric["better"] == "lower" else 1 - ratio
+    (``better``, ``bound``), from the runs of each side paired by seed."""
+    sign = 1 if metric["better"] == "higher" else -1
+    p, c = summarize(parent), summarize(child)
+    worse_by = sign * (1 - c["median"] / p["median"])
+    bound = metric["bound"]
+    wins = sum(sign * (y - x) > 0 for x, y in zip(parent, child))
+    spread = max(p["iqr"] / p["median"], c["iqr"] / c["median"])
+    dominates = min(sign * v for v in child) > max(sign * v for v in parent)
+    if wins >= 0.9 * len(parent) and sign * (c["median"] - p["median"]) > p["iqr"]:
+        verdict = "better"
+    elif worse_by > bound:
+        verdict = "worse"
+    elif spread > bound and not dominates:
+        verdict = "unresolved"
+    else:
+        verdict = "unchanged"
     return {
-        "ratio": ratio,
+        "ratio": c["median"] / p["median"],
         "worse_by": worse_by,
-        "bound": metric["bound"],
-        "within_bound": worse_by <= metric["bound"],
+        "bound": bound,
+        "within_bound": worse_by <= bound,
+        "wins": wins,
+        "pairs": len(parent),
+        "spread": spread,
+        "verdict": verdict,
     }
 
 
@@ -76,15 +98,15 @@ def summarize_workload(runs: dict, spec: dict) -> dict:
         }
     for metric in spec["end_to_end"]:
         name = metric["name"]
-        sides = {
-            side: summarize([r["metrics"][name]["value"] for r in results])
+        values = {
+            side: [r["metrics"][name]["value"] for r in results]
             for side, results in runs.items()
         }
         out["metrics"][name] = {
             "unit": metric["unit"],
             "better": metric["better"],
-            **sides,
-            **compare(sides["parent"], sides["child"], metric),
+            **{side: summarize(v) for side, v in values.items()},
+            **compare(values["parent"], values["child"], metric),
         }
     return out
 
@@ -120,25 +142,21 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent revision")
-    parser.add_argument("--child", default="HEAD", help="child revision (default HEAD)")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: run_seconds of BENCHMARK.json)")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     out_file = ROOT / f"BENCH_{args.label}.json"
 
     with tempfile.TemporaryDirectory(prefix="trajectory-") as tmp:
         trees = {"parent": Path(tmp) / "parent", "child": Path(tmp) / "child"}
         shas = {side: extract(rev, trees[side])
-                for side, rev in (("parent", args.parent), ("child", args.child))}
+                for side, rev in (("parent", args.parent), ("child", "HEAD"))}
         results = {}
         for workload in (w["name"] for w in spec["workloads"]):
             runs = {"parent": [], "child": []}
-            for i, seed in enumerate(args.seeds):
+            for i, seed in enumerate(SEEDS):
                 order = ("parent", "child") if i % 2 == 0 else ("child", "parent")
                 for side in order:
                     info, result = run_once(trees[side], workload, seed, seconds)
@@ -155,7 +173,7 @@ def main(argv=None) -> int:
             "child_sha": shas["child"],
             **{key: info["environment"][key] for key in ("python", "nproc", "cpu_model")},
         },
-        "seeds": args.seeds,
+        "seeds": SEEDS,
         "seconds": seconds,
         "order": "per seed, alternating: parent then child, child then parent, ...",
         "workloads": results,

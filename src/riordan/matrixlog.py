@@ -27,7 +27,7 @@ from operator import mul
 
 from ._purekernels import _integers
 from .core import RiordanMatrix
-from .rings import ZERO, ParamPoly
+from .rings import ONE, ZERO, ParamPoly
 from .series import Series, one_series
 from .triangle import Triangle
 
@@ -48,15 +48,21 @@ def _composition_columns(b: Series, n: int, beta) -> list[Series]:
     """Columns c_0 .. c_(n-1), each of order n, of c_0 = 1 and
     c_m = x b ((beta + xD) c_(m-1)) / m: [phi^m x^i] (g^(phi))^beta for
     the log generator b of g.  b needs order n - 1 (any order when
-    n = 1).  With beta = p/q and c_(m-1) = nums/den over integers,
-    coefficient s of (beta + xD) c_(m-1) / m is (p + sq) nums_s / (mq den)."""
+    n = 1).  For rational b and beta = p/q, with c_(m-1) = nums/den over
+    integers, coefficient s of (beta + xD) c_(m-1) / m is
+    (p + sq) nums_s / (mq den); other coefficients take ring arithmetic."""
     xb = b.shift_up(1, extend=True)
-    p, q = beta.numerator, beta.denominator
+    rational = b.is_rational() and isinstance(beta, (int, Fraction))
+    if rational:
+        p, q = beta.numerator, beta.denominator
     cols = [one_series(n)]
     for m in range(1, n):
-        nums, den = _integers(cols[-1].coeffs)
-        den *= m * q
-        w = [Fraction((p + s * q) * c, den) for s, c in enumerate(nums)]
+        if rational:
+            nums, den = _integers(cols[-1].coeffs)
+            den *= m * q
+            w = [Fraction((p + s * q) * c, den) for s, c in enumerate(nums)]
+        else:
+            w = [(beta + s) * c / m for s, c in enumerate(cols[-1].coeffs)]
         cols.append(xb * Series(w, n))
     return cols
 
@@ -68,18 +74,28 @@ def log_generator(g: Series, order: int | None = None) -> Series:
 
     Column 0 of the log is sum_{p>=1} (-1)^(p-1)/p K^p e_0 with
     K = (g, xg) - I.  The diagonal of (g, xg) is 1 and cancels, so K is
-    the strictly lower part of the triangle, scaled once to integer rows
-    over the lcm of its denominators.  K^p e_0 and the partial sum stay
-    integer vectors over one denominator, reduced by one gcd each per p;
-    the entries of K^p e_0 below index p vanish and are skipped.  b has
+    the strictly lower part of the triangle.  For rational g it is
+    scaled once to integer rows over the lcm of its denominators; K^p e_0
+    and the partial sum stay integer vectors over one denominator,
+    reduced by one gcd each per p, and the entries of K^p e_0 below
+    index p vanish and are skipped.  g with ``ParamPoly`` coefficients
+    takes ``Triangle.apply_vec`` products in ring arithmetic.  b has
     order n - 1, so g needs order n >= 2."""
     g = _prepare(g, order)
     n = g.order
     if n < 2:
         raise ValueError(f"log_generator needs g to order at least 2, got order {n}")
+    tri = RiordanMatrix(g, g).triangle()
     if not g.is_rational():
-        raise ValueError("log_generator needs g with rational coefficients")
-    lower = [row[:-1] for row in RiordanMatrix(g, g).triangle().rows]
+        k = tri.add(Triangle.identity(n).scale(-1))
+        col, vec = [ZERO] * n, [ONE] + [ZERO] * (n - 1)
+        for p in range(1, n):
+            vec = k.apply_vec(vec)
+            if not any(vec):
+                break
+            col = [c + Fraction((-1) ** (p - 1), p) * v for c, v in zip(col, vec)]
+        return Series(col[1:], n - 1)
+    lower = [row[:-1] for row in tri.rows]
     den = lcm(*[c.denominator for row in lower for c in row])
     k = [[c.numerator * (den // c.denominator) for c in row] for row in lower]
     vec, vden = [1] + [0] * (n - 1), 1  # K^p e_0 = vec / vden

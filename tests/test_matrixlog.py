@@ -367,16 +367,44 @@ class TestLogGeneratorOracle:
     def test_order_argument(self):
         g = catalan(20)
         _same_series(log_generator(g, 9), log_generator_oracle(g, 9))
+        with pytest.raises(ValueError, match="needs g to order at least 2"):
+            log_generator(rna_series(5), 1)
 
-    def test_order_one_names_the_input(self):
-        for g, order in ((Series([1], 1), None), (rna_series(5), 1)):
-            with pytest.raises(ValueError, match="needs g to order at least 2"):
-                log_generator(g, order)
 
-    def test_symbolic_g_refused(self):
-        g = Series([1, ParamPoly.param("t"), 1], 3)
-        with pytest.raises(ValueError, match="rational coefficients"):
-            log_generator(g)
+def symbolic_g(order):
+    """1 + t x + x^2 + x^3/2 + ..., coefficient k >= 2 equal to 1/(k-1)."""
+    t = ParamPoly.param("t")
+    return Series([F(1), t] + [F(1, k - 1) for k in range(2, order)], order)
+
+
+@pytest.mark.parametrize("order", [2, 3, 5, 7])
+class TestSymbolicG:
+    """g with ``ParamPoly`` coefficients, as ``from_b_sequence`` builds
+    for a symbolic B, takes ring arithmetic; its b is symbolic too."""
+
+    def test_log_generator(self, order):
+        g = symbolic_g(order)
+        _same_series(log_generator(g), log_generator_oracle(g))
+        assert bell_log(g).rows == bell_log_oracle(g).rows
+
+    def test_composition_matrix(self, order):
+        g = symbolic_g(order)
+        assert composition_matrix(g).triangle.rows == composition_matrix_oracle(g).rows
+
+
+@pytest.mark.parametrize(
+    "b, beta",
+    [
+        (Series([ParamPoly.param("t"), 1, 2], 3), 1),
+        (Series([ParamPoly.param("t"), 1, 2], 3), F(-2, 3)),
+        (S([1, F(1, 2), 2]), 0.5),
+    ],
+    ids=["symbolic-b", "symbolic-b-beta", "float-beta"],
+)
+def test_composition_sum_outside_the_rationals(b, beta):
+    # ParamPoly coefficients cannot nest, and a float is no coefficient
+    with pytest.raises(TypeError):
+        composition_sum(b, 3, beta=beta)
 
 
 class TestCompositionOracles:

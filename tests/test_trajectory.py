@@ -55,11 +55,53 @@ def test_median_and_iqr():
 )
 def test_ratio_against_bound(better, parent, child, worse_by, within):
     metric = {"name": "m", "better": better, "bound": 0.25}
-    got = trajectory.compare({"median": parent}, {"median": child}, metric)
+    got = trajectory.compare([parent], [child], metric)
     assert got["ratio"] == pytest.approx(child / parent)
     assert got["worse_by"] == pytest.approx(worse_by)
     assert got["within_bound"] is within
     assert got["bound"] == 0.25
+
+
+HIGHER = {"name": "ops_per_s", "better": "higher", "bound": 0.25}
+LOWER = {"name": "op_p90_ms", "better": "lower", "bound": 0.25}
+PARENT = [100.0, 104.0, 98.0, 102.0, 100.0, 96.0, 101.0, 99.0, 103.0, 97.0]
+
+
+@pytest.mark.parametrize(
+    "metric, parent, child, wins, verdict",
+    [
+        # wins all ten pairs, far beyond the parent's IQR
+        (HIGHER, PARENT, [2 * v for v in PARENT], 10, "better"),
+        # wins nine pairs and ties one
+        (HIGHER, PARENT, [v + 10 for v in PARENT[:9]] + [PARENT[9]], 9, "better"),
+        # wins only eight pairs: a gain not claimed
+        (HIGHER, PARENT, [v + 10 for v in PARENT[:8]] + [v - 1 for v in PARENT[8:]], 8,
+         "unchanged"),
+        # wins every pair, but by less than the parent's IQR (3.5)
+        (HIGHER, PARENT, [v + 1 for v in PARENT], 10, "unchanged"),
+        # median 40% worse
+        (HIGHER, PARENT, [0.6 * v for v in PARENT], 0, "worse"),
+        # latency halved: lower is better
+        (LOWER, PARENT, [v / 2 for v in PARENT], 10, "better"),
+        # the child's runs spread wider than the bound, median within it
+        (LOWER, PARENT, [50.0, 150.0] * 5, 5, "unresolved"),
+    ],
+    ids=["all-wins", "nine-wins", "eight-wins", "inside-iqr", "worse",
+         "lower-better", "wide-spread"],
+)
+def test_verdict_from_pairs(metric, parent, child, wins, verdict):
+    got = trajectory.compare(parent, child, metric)
+    assert (got["wins"], got["pairs"], got["verdict"]) == (wins, 10, verdict)
+
+
+def test_wide_spread_that_every_run_beats_is_resolved():
+    # the parent's runs spread wider than the bound; every child run
+    # reads lower than every parent run, by less than the parent's IQR
+    parent = [100.0, 200.0] * 5
+    got = trajectory.compare(parent, [40.0, 80.0] * 5, LOWER)
+    assert (got["spread"] > 0.25, got["verdict"]) == (True, "unchanged")
+    got = trajectory.compare(parent, [90.0, 110.0] * 5, LOWER)
+    assert (got["spread"] > 0.25, got["verdict"]) == (True, "unresolved")
 
 
 def test_workload_summary_from_result_lines():
@@ -75,6 +117,7 @@ def test_workload_summary_from_result_lines():
     assert ops["parent"]["iqr"] == 10  # quartiles 105, 115
     assert ops["ratio"] == pytest.approx(270 / 110)
     assert ops["within_bound"] is True
+    assert (ops["wins"], ops["pairs"], ops["verdict"]) == (3, 3, "better")
     p90 = out["metrics"]["op_p90_ms"]
     assert (p90["parent"]["median"], p90["child"]["median"]) == (22, 8)
     assert p90["worse_by"] == pytest.approx(8 / 22 - 1)
