@@ -127,7 +127,7 @@ class CoeffList(Expr):
     values: tuple[Fraction, ...]
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
+_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.)")
 
 _NAMES = {"x", "sqrt", "catalan", "rna", "geom", "binom_series", "coeffs"}
 _PLAIN_SERIES = {"catalan", "rna", "geom"}
@@ -148,8 +148,6 @@ def _tokenize(text: str) -> list[_Token]:
             pos += 1
             continue
         m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            break
         if m.group(1) is not None:
             tokens.append(_Token("num", m.group(1), m.start(1)))
         elif m.group(2) is not None:

@@ -2,14 +2,14 @@
 
 For g with g(0) = 1, K = (g, xg) - I is nilpotent at any finite
 truncation.  Everything here derives, in one direction, from the log
-generator b: ``log_generator`` sums column 0 of log(g, xg) as
-sum_{p>=1} (-1)^(p-1)/p K^p e_0 and divides it by x, on integers: the
-strictly lower part of (g, xg) is scaled once to integer rows over the
-lcm of its denominators, each K^p e_0 and the partial sum are integer
-vectors over one denominator, and a ``Fraction`` is built once per
-coefficient at the end.  ``bell_log`` fills log(g, xg) = (b(x), x) D^T,
-entry (i, m) = (m+1) b_(i-m-1) (Jabotinsky, "Analytic iteration",
-Trans. AMS 1963); and ``composition_matrix`` has column
+generator b: ``log_generator`` checks g(0) = 1, sums column 0 of
+log(g, xg) as sum_{p>=1} (-1)^(p-1)/p K^p e_0 over g's full order and
+divides it by x, on integer vectors for rational g; g with ``ParamPoly``
+coefficients takes ``generic_log_generator``, the same sum in ring
+arithmetic and the tests' reference for the integer route.
+``bell_log`` fills log(g, xg) = (b(x), x) D^T, entry
+(i, m) = (m+1) b_(i-m-1) (Jabotinsky, "Analytic iteration", Trans. AMS
+1963); and ``composition_matrix`` has column
 m = (1/m!) log(g, xg)^m e_0, whose rows, read as polynomials,
 interpolate the coefficients of g^(phi).  Applying (b, x) D^T to a
 column v is x b (xv)', so the columns follow
@@ -32,29 +32,17 @@ from .series import Series, one_series
 from .triangle import Triangle
 
 
-def _prepare(g: Series, order: int | None) -> Series:
-    if order is not None:
-        if order > g.order:
-            raise ValueError(
-                f"g is only known to order {g.order}, cannot use {order}"
-            )
-        g = g.truncate(order)
-    if g[0] != 1:
-        raise ValueError("requires g with constant term 1")
-    return g
-
-
 def _composition_columns(b: Series, n: int, beta) -> list[Series]:
     """Columns c_0 .. c_(n-1), each of order n, of c_0 = 1 and
     c_m = x b ((beta + xD) c_(m-1)) / m: [phi^m x^i] (g^(phi))^beta for
-    the log generator b of g.  b needs order n - 1 (any order when
-    n = 1).  For rational b and beta = p/q, with c_(m-1) = nums/den over
-    integers, coefficient s of (beta + xD) c_(m-1) / m is
-    (p + sq) nums_s / (mq den); other coefficients take ring arithmetic."""
+    the log generator b of g and an ``int`` or ``Fraction`` beta.  b
+    needs order n - 1 (any order when n = 1).  For rational b and
+    beta = p/q, with c_(m-1) = nums/den over integers, coefficient s of
+    (beta + xD) c_(m-1) / m is (p + sq) nums_s / (mq den); a symbolic b
+    takes ring arithmetic."""
     xb = b.shift_up(1, extend=True)
-    rational = b.is_rational() and isinstance(beta, (int, Fraction))
-    if rational:
-        p, q = beta.numerator, beta.denominator
+    rational = b.is_rational()
+    p, q = beta.numerator, beta.denominator
     cols = [one_series(n)]
     for m in range(1, n):
         if rational:
@@ -67,7 +55,21 @@ def _composition_columns(b: Series, n: int, beta) -> list[Series]:
     return cols
 
 
-def log_generator(g: Series, order: int | None = None) -> Series:
+def generic_log_generator(g: Series) -> Series:
+    """``log_generator`` as n ``Triangle.apply_vec`` products on
+    K = (g, xg) - I in ring arithmetic, for ``ParamPoly`` g."""
+    n = g.order
+    k = RiordanMatrix(g, g).triangle().add(Triangle.identity(n).scale(-1))
+    col, vec = [ZERO] * n, [ONE] + [ZERO] * (n - 1)
+    for p in range(1, n):
+        vec = k.apply_vec(vec)
+        if not any(vec):
+            break
+        col = [c + Fraction((-1) ** (p - 1), p) * v for c, v in zip(col, vec)]
+    return Series(col[1:], n - 1)
+
+
+def log_generator(g: Series) -> Series:
     """The series b with log(g, xg) = (b(x), x) D^T: column 0 of the log
     divided by x, so b(0) = g'(0).  It also solves
     g^2 b(xg) = b (xg)' (Julia's equation for h = x^2 b).
@@ -79,23 +81,16 @@ def log_generator(g: Series, order: int | None = None) -> Series:
     and the partial sum stay integer vectors over one denominator,
     reduced by one gcd each per p, and the entries of K^p e_0 below
     index p vanish and are skipped.  g with ``ParamPoly`` coefficients
-    takes ``Triangle.apply_vec`` products in ring arithmetic.  b has
-    order n - 1, so g needs order n >= 2."""
-    g = _prepare(g, order)
+    takes ``generic_log_generator``.  b has order n - 1, so g needs
+    g(0) = 1 and order n >= 2."""
+    if g[0] != 1:
+        raise ValueError("requires g with constant term 1")
     n = g.order
     if n < 2:
         raise ValueError(f"log_generator needs g to order at least 2, got order {n}")
-    tri = RiordanMatrix(g, g).triangle()
     if not g.is_rational():
-        k = tri.add(Triangle.identity(n).scale(-1))
-        col, vec = [ZERO] * n, [ONE] + [ZERO] * (n - 1)
-        for p in range(1, n):
-            vec = k.apply_vec(vec)
-            if not any(vec):
-                break
-            col = [c + Fraction((-1) ** (p - 1), p) * v for c, v in zip(col, vec)]
-        return Series(col[1:], n - 1)
-    lower = [row[:-1] for row in tri.rows]
+        return generic_log_generator(g)
+    lower = [row[:-1] for row in RiordanMatrix(g, g).triangle().rows]
     den = lcm(*[c.denominator for row in lower for c in row])
     k = [[c.numerator * (den // c.denominator) for c in row] for row in lower]
     vec, vden = [1] + [0] * (n - 1), 1  # K^p e_0 = vec / vden
@@ -115,11 +110,12 @@ def log_generator(g: Series, order: int | None = None) -> Series:
     return Series([Fraction(c, cden) for c in col[1:]], n - 1)
 
 
-def bell_log(g: Series, order: int | None = None) -> Triangle:
+def bell_log(g: Series) -> Triangle:
     """Matrix logarithm of (g, xg): entry (i, m) is (m+1) b_(i-m-1)."""
-    g = _prepare(g, order)
     n = g.order
     if n == 1:
+        if g[0] != 1:
+            raise ValueError("requires g with constant term 1")
         return Triangle([[0]])
     b = log_generator(g)
     return Triangle(
@@ -151,15 +147,12 @@ class CompositionMatrix:
         return self.triangle.nrows
 
 
-def composition_matrix(
-    g: Series, order: int | None = None
-) -> CompositionMatrix:
+def composition_matrix(g: Series) -> CompositionMatrix:
     """The matrix of composition polynomials of g.
 
     Column m is (1/m!) log(g, xg)^m e_0, computed from column m-1 as
     x b (x c_(m-1))' / m with b read off column 0 of ``bell_log``.
     """
-    g = _prepare(g, order)
     log = bell_log(g)
     n = log.nrows
     b = Series([log.entry(i + 1, 0) for i in range(n - 1)], max(n - 1, 1))
@@ -167,13 +160,13 @@ def composition_matrix(
     return CompositionMatrix(Triangle.from_columns(cols), g)
 
 
-def bell_power(g: Series, phi, order: int | None = None) -> Series:
+def bell_power(g: Series, phi) -> Series:
     """The series g^(phi) with (g, xg)^phi = (g^(phi), x g^(phi)).
 
     ``phi`` may be an exact rational or a symbol name (str), in which
     case coefficients are polynomials in that parameter.
     """
-    tri = composition_matrix(g, order).triangle
+    tri = composition_matrix(g).triangle
     symbol = phi if isinstance(phi, str) else "phi"
     power = Series([tri.row_poly(i, symbol) for i in range(tri.nrows)], tri.nrows)
     return power if isinstance(phi, str) else power.eval_param(phi)
@@ -189,12 +182,13 @@ def composition_sum(
     rising prefix factors beta (beta+i_1) (beta+i_1+i_2) ..., over m!.
     The sum is accumulated by the column recurrence of
     ``composition_matrix`` (n series products, no ceiling on n).
-    With beta = 1 this is the composition polynomial c_n(phi).
+    With beta = 1 this is the composition polynomial c_n(phi); beta is
+    an ``int`` or a ``Fraction``.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        return ParamPoly.const(1, symbol)
+    if not isinstance(beta, (int, Fraction)):
+        raise TypeError(f"beta must be an int or a Fraction, got {beta!r}")
     if b.order < n:
         raise ValueError(f"b needs order >= {n}, has {b.order}")
     cols = _composition_columns(b, n + 1, beta)

@@ -25,7 +25,7 @@ from riordan import (
 )
 from riordan.bexpansion import _b_coeffs, _odd_mults_cached
 from riordan.core import _as_series
-from riordan.matrixlog import _prepare, bell_log
+from riordan.matrixlog import bell_log
 from riordan.rings import ONE, ZERO
 
 
@@ -69,23 +69,6 @@ def bell_log_oracle(g):
             break
         acc = acc.add(term.scale(Fraction((-1) ** (p - 1), p)))
     return acc
-
-
-def log_generator_oracle(g, order=None):
-    """Column 0 of log(g, xg) divided by x, as n ``Triangle.apply_vec``
-    products on ``Fraction`` entries of K = (g, xg) - I.  Reference for
-    ``log_generator``, which runs the same sum on integer vectors over
-    one denominator."""
-    g = _prepare(g, order)
-    n = g.order
-    k = RiordanMatrix(g, g).triangle().add(Triangle.identity(n).scale(-1))
-    col, vec = [ZERO] * n, [ONE] + [ZERO] * (n - 1)
-    for p in range(1, n):
-        vec = k.apply_vec(vec)
-        if not any(vec):
-            break
-        col = [c + Fraction((-1) ** (p - 1), p) * v for c, v in zip(col, vec)]
-    return Series(col, n).shift_down(1)
 
 
 def _scaled_powers(tri: Triangle, j: int = 0) -> list:

@@ -166,7 +166,7 @@ def test_criterion_1_frozen_displays():
             RNA_MATRIX_ROWS,
         ),
         (
-            composition_matrix(rna_series(11), 11).triangle,
+            composition_matrix(rna_series(11)).triangle,
             RNA_COMPOSITION_TEXT,
             RNA_BCOMP_ROWS,
         ),

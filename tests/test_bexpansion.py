@@ -315,7 +315,7 @@ class TestBCompMatrix:
     def test_geometric_equals_rna_matrix_logarithm(self):
         # <1/(1-x)> coincides with the composition triangle obtained
         # from the matrix logarithm of the RNA element.
-        cm = composition_matrix(rna_series(11), 11)
+        cm = composition_matrix(rna_series(11))
         mat = bcomp_matrix(B_GEOM, 11)
         assert mat.triangle == cm.triangle
 

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import RNA_BCOMP_ROWS, RNA_MATRIX_ROWS, T
 from riordan import PARTITION_N_LIMIT
-from riordan.cli import main
+from riordan.cli import MATRIX_LOG_N_LIMIT, main
 from riordan.exprparse import EXPR_EXPONENT_LIMIT
 from riordan.exprparse import EvalError, ParseError, eval_expr, parse_expr
 from riordan.render import format_triangle
@@ -139,6 +139,18 @@ class TestCompPoly:
         code, out, _ = run(capsys, "comp-poly", "--g", "rna", "--rows", "11")
         assert code == 0
         assert out == format_triangle(T(RNA_BCOMP_ROWS)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag", [("power", "--order"), ("comp-poly", "--rows")]
+)
+def test_matrix_log_size_ceiling(capsys, command, flag):
+    size = str(MATRIX_LOG_N_LIMIT + 1)
+    code, out, err = run(capsys, command, "--g", "rna", flag, size)
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: {flag} must be at most {MATRIX_LOG_N_LIMIT} (matrix log)\n"
+    )
 
 
 class TestBComp:

@@ -1,4 +1,5 @@
-"""Static hygiene of the package source: every imported name is used."""
+"""Static hygiene of the package source: every imported name is used,
+and every private module-level helper is referenced."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,36 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported but unused: {unused}"
+
+
+def _referenced(node):
+    """Names a node reads: bare names, attributes and imported names."""
+    out = _used(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
+
+
+def _private_defs(tree):
+    return [
+        node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+
+
+def test_no_dead_private_helpers():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    refs = [(stmt, _referenced(stmt)) for tree in trees.values() for stmt in tree.body]
+    dead = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in _private_defs(tree)
+        if not any(node.name in names for stmt, names in refs if stmt is not node)
+    ]
+    assert not dead, f"private helpers referenced nowhere: {dead}"

@@ -23,12 +23,12 @@ from riordan import (
     rna_series,
     x_series,
 )
+from riordan.matrixlog import generic_log_generator
 from conftest import (
     S,
     bell_log_oracle,
     composition_matrix_oracle,
     composition_sum_oracle,
-    log_generator_oracle,
     rows_of,
     triangle_exp,
 )
@@ -88,11 +88,6 @@ class TestBellLog:
     def test_requires_unit_constant(self):
         with pytest.raises(ValueError, match="constant term 1"):
             bell_log(S([2, 1], 4))
-
-    def test_order_restriction(self):
-        assert bell_log(catalan(9), order=4).nrows == 4
-        with pytest.raises(ValueError, match="only known to order"):
-            bell_log(catalan(4), order=9)
 
 
 class TestCompositionMatrix:
@@ -323,9 +318,9 @@ def _same_series(got, want):
 
 
 class TestLogGeneratorOracle:
-    """The integer mat-vecs against the ``Fraction`` mat-vecs they
-    replaced (``conftest.log_generator_oracle``): same coefficients,
-    same order."""
+    """The integer mat-vecs against the ring-arithmetic mat-vecs of
+    ``generic_log_generator`` on ``Fraction`` entries: same
+    coefficients, same order."""
 
     @given(
         data=st.data(),
@@ -342,13 +337,13 @@ class TestLogGeneratorOracle:
         if graded:  # coefficient k over 16^k, as in sqrt(1 + x)
             cs = [c / 16**k for k, c in enumerate(cs)]
         g = Series(cs, order)
-        _same_series(log_generator(g), log_generator_oracle(g))
+        _same_series(log_generator(g), generic_log_generator(g))
 
     @pytest.mark.parametrize("order", [2, 3, 9, 24])
     def test_unit_series_stops_at_first_power(self, order):
         # g = 1: K = 0, so the sum stops at p = 1 with b = 0
         g = one_series(order)
-        _same_series(log_generator(g), log_generator_oracle(g))
+        _same_series(log_generator(g), generic_log_generator(g))
         assert not any(log_generator(g).coeffs)
 
     @pytest.mark.parametrize(
@@ -362,13 +357,13 @@ class TestLogGeneratorOracle:
     )
     def test_order_48(self, make):
         g = make(48)
-        _same_series(log_generator(g), log_generator_oracle(g))
+        _same_series(log_generator(g), generic_log_generator(g))
 
-    def test_order_argument(self):
-        g = catalan(20)
-        _same_series(log_generator(g, 9), log_generator_oracle(g, 9))
+    def test_truncated_window(self):
+        g = catalan(20).truncate(9)
+        _same_series(log_generator(g), generic_log_generator(g))
         with pytest.raises(ValueError, match="needs g to order at least 2"):
-            log_generator(rna_series(5), 1)
+            log_generator(rna_series(5).truncate(1))
 
 
 def symbolic_g(order):
@@ -377,19 +372,38 @@ def symbolic_g(order):
     return Series([F(1), t] + [F(1, k - 1) for k in range(2, order)], order)
 
 
-@pytest.mark.parametrize("order", [2, 3, 5, 7])
+T0 = [0, 1, -2, F(1, 3)]  # values of t; t = 0 gives g_1 = 0
+
+
+def specialized_rows(tri, t0):
+    """The rows of a triangle with ``ParamPoly`` entries at t = t0."""
+    return tuple(
+        tuple(c(t0) if isinstance(c, ParamPoly) else c for c in row)
+        for row in tri.rows
+    )
+
+
+@pytest.mark.parametrize("order", [2, 3, 5, 7, 12])
 class TestSymbolicG:
     """g with ``ParamPoly`` coefficients, as ``from_b_sequence`` builds
-    for a symbolic B, takes ring arithmetic; its b is symbolic too."""
+    for a symbolic B, takes ring arithmetic; its b is symbolic too.
+    Setting t = t0 after the log gives what the integer route gives for
+    g at t = t0."""
 
     def test_log_generator(self, order):
         g = symbolic_g(order)
-        _same_series(log_generator(g), log_generator_oracle(g))
+        b = log_generator(g)
+        for t0 in T0:
+            _same_series(b.eval_param(t0), log_generator(g.eval_param(t0)))
         assert bell_log(g).rows == bell_log_oracle(g).rows
 
     def test_composition_matrix(self, order):
         g = symbolic_g(order)
-        assert composition_matrix(g).triangle.rows == composition_matrix_oracle(g).rows
+        got = composition_matrix(g).triangle
+        assert got.rows == composition_matrix_oracle(g).rows
+        for t0 in T0:
+            want = composition_matrix(g.eval_param(t0)).triangle
+            assert specialized_rows(got, t0) == want.rows
 
 
 @pytest.mark.parametrize(
