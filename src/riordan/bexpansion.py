@@ -5,7 +5,7 @@ counts parts of size 2i+1, with q = sum m_i parts in total and
 k = sum m_i (i+1) = (n + q)/2.  The expansion of [x^n] g^phi in the
 B-sequence coefficients of (1, xg) (:func:`b_expand`) and the rows of
 the B-composition matrix <B> (:func:`bcomp_matrix`) weigh a partition
-only through q, so each is one sum over q of a weight times
+only through q: each is a sum over q of a weight (:func:`_weight`) times
 
     S_q(n) = sum over partitions with q parts of prod b_i^{m_i} / m_i!
            = [x^{(n-q)/2}] B^q / q!
@@ -32,7 +32,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, perm
 
-from .rings import ONE, ZERO, ParamPoly, binomial, falling_factorial
+from ._purekernels import _integers
+from .rings import ONE, ZERO, ParamPoly, binomial
 from .series import Series, _power_columns
 from .triangle import Triangle
 
@@ -166,21 +167,36 @@ def _b_coeffs(b: Series, need: int) -> list[Fraction]:
 # -- formula engines ----------------------------------------------------
 
 
+def _weight(k: int, q: int) -> list[int]:
+    """Integer coefficients of t (t+k-1) (t+k-2) ... (t+k-q+1), built in
+    q - 1 steps of "multiply by (t + a)"; the empty partition
+    (k = q = 0) weighs 1."""
+    w = [0, 1] if q else [1]
+    for a in range(k - q + 1, k):
+        w = [a * lo + hi for lo, hi in zip(w + [0], [0] + w)]
+    return w
+
+
+def _weighted(terms: list, symbol: str) -> ParamPoly:
+    """The sum of s * _weight(k, q) over the (k, q, s) terms, carried as
+    integers over the lcm of the s, with one Fraction per coefficient."""
+    nums, den = _integers([s for _, _, s in terms])
+    acc = [0] * (max([q for _, q, _ in terms], default=-1) + 1)
+    for (k, q, _), num in zip(terms, nums):
+        for i, c in enumerate(_weight(k, q)):
+            acc[i] += num * c
+    return ParamPoly([Fraction(c, den) for c in acc], symbol)
+
+
 def b_expand(b: Series, n: int, symbol: str = "phi") -> ParamPoly:
     """[x^n] g^phi as a polynomial in phi, from the B-sequence of (1, xg).
 
     Sums phi (phi+k-1)_{q-1} / (m_0! ... m_p!) * prod b_i^{m_i} over
     the partitions of n into odd parts, grouped by q (k = (n+q)/2).
     """
-    if n == 0:
-        return ParamPoly.const(1, symbol)
     bs = _b_coeffs(b, (n + 1) // 2)
-    phi = ParamPoly.param(symbol)
-    total = ParamPoly((), symbol)
-    for q, s in _sums_by_parts(bs, _odd_mults(n)).items():
-        k = (n + q) // 2
-        total = total + phi * falling_factorial(phi + (k - 1), q - 1) * s
-    return total
+    sums = _sums_by_parts(bs, _odd_mults(n))
+    return _weighted([((n + q) // 2, q, s) for q, s in sums.items()], symbol)
 
 
 def b_expand_symbolic(n: int, symbol: str = "phi") -> dict[tuple[int, ...], ParamPoly]:
@@ -189,17 +205,12 @@ def b_expand_symbolic(n: int, symbol: str = "phi") -> dict[tuple[int, ...], Para
     Keys are multiplicity tuples; values are the phi-polynomials
     phi (phi+k-1)_{q-1} / (m_0! ... m_p!).
     """
-    phi = ParamPoly.param(symbol)
     out = {}
     for part in odd_partitions(n):
-        if not part.multiplicities:  # n = 0: the empty product
-            out[()] = ParamPoly.const(1, symbol)
-            continue
         denom = 1
         for m in part.multiplicities:
             denom *= factorial(m)
-        poly = phi * falling_factorial(phi + (part.k - 1), part.q - 1)
-        out[part.multiplicities] = poly / denom
+        out[part.multiplicities] = ParamPoly(_weight(part.k, part.q), symbol) / denom
     return out
 
 
@@ -216,13 +227,7 @@ def a_expand(a: Series, n: int, symbol: str = "phi") -> ParamPoly:
     if n == 0:
         return ParamPoly.const(1, symbol)
     cols = _power_columns((a.pad_zeros(n + 1) - 1).shift_down(1), n + 1)
-    phi = ParamPoly.param(symbol)
-    total = ParamPoly((), symbol)
-    for q in range(1, n + 1):
-        s = cols[q][n - q]
-        if s:
-            total = total + phi * falling_factorial(phi + (n - 1), q - 1) * s
-    return total
+    return _weighted([(n, q, cols[q][n - q]) for q in range(1, n + 1)], symbol)
 
 
 def binomial_series(r: int, order: int) -> Series:
@@ -247,11 +252,7 @@ def generalized_binomial(r: int, order: int, symbol: str = "phi") -> Series:
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    phi = ParamPoly.param(symbol)
-    out = [ParamPoly.const(1, symbol)]
-    for n in range(1, order):
-        poly = phi * falling_factorial(phi + (r * n - 1), n - 1)
-        out.append(poly / factorial(n))
+    out = [ParamPoly(_weight(r * n, n), symbol) / factorial(n) for n in range(order)]
     return Series(out, order)
 
 
@@ -409,16 +410,22 @@ def convolution_rows(b: Series, order: int) -> Triangle:
     return Triangle.from_columns(_power_columns(b.pad_zeros(order).log(), order))
 
 
+def _column_sums(b: Series, n: int) -> dict[int, Fraction]:
+    """{m: [x^{(n-m)/2}] B^m / m!} for 0 < m <= n with n - m even, read
+    off the columns of :func:`_power_columns`; n >= 1."""
+    need = (n + 1) // 2
+    cols = _power_columns(Series(_b_coeffs(b, need), need), n + 1)
+    return {m: cols[m][(n - m) // 2] for m in range(n % 2 or 2, n + 1, 2)}
+
+
 def bcomp_row_from_convolutions(b: Series, n: int, symbol: str = "x") -> ParamPoly:
     """Row n of <B> read off the columns B^m / m! of (1, xB)_E: entry m
     is ((n+m)/2)_{m-1} [x^{(n-m)/2}] B^m / m!."""
     if n == 0:
         return ParamPoly.const(1, symbol)
-    need = (n + 1) // 2
-    cols = _power_columns(Series(_b_coeffs(b, need), need), n + 1)
     coeffs = [ZERO] * (n + 1)
-    for m in range(n % 2 or 2, n + 1, 2):
-        coeffs[m] = perm((n + m) // 2, m - 1) * cols[m][(n - m) // 2]
+    for m, s in _column_sums(b, n).items():
+        coeffs[m] = perm((n + m) // 2, m - 1) * s
     return ParamPoly(coeffs, symbol)
 
 
@@ -430,19 +437,12 @@ def power_poly(b: Series, n: int, phi=1, symbol: str = "beta") -> ParamPoly:
     sum_m beta (beta+(n+m)/2-1)_{m-1} phi^m [x^{(n-m)/2}] B^m / m!,
     read off the columns B^m / m! of (1, xB)_E.
     """
+    if not isinstance(phi, (int, Fraction)):
+        raise TypeError(f"phi must be an int or a Fraction, got {phi!r}")
     if n == 0:
         return ParamPoly.const(1, symbol)
-    need = (n + 1) // 2
-    cols = _power_columns(Series(_b_coeffs(b, need), need), n + 1)
-    beta = ParamPoly.param(symbol)
-    total = ParamPoly((), symbol)
-    for m in range(n % 2 or 2, n + 1, 2):
-        s = cols[m][(n - m) // 2]
-        if s:
-            k = (n + m) // 2
-            poly = beta * falling_factorial(beta + (k - 1), m - 1)
-            total = total + poly * (s * phi ** m)
-    return total
+    terms = [((n + m) // 2, m, s * phi ** m) for m, s in _column_sums(b, n).items()]
+    return _weighted(terms, symbol)
 
 
 def exp_lagrange_diagonal(b: Series, n: int, order: int) -> Series:

@@ -15,6 +15,7 @@ loops (see :mod:`riordan._purekernels`).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from ._backend import kernels
 from .rings import ONE, ZERO, ParamPoly
@@ -398,9 +399,9 @@ def exp_series(order: int) -> Series:
 
 
 def catalan(order: int) -> Series:
-    """Catalan number generating function (1 - sqrt(1-4x)) / (2x)."""
-    s = Series([1, -4], order + 1).sqrt()
-    return (one_series(order + 1) - s).shift_down(1) / 2
+    """Catalan number generating function (1 - sqrt(1-4x)) / (2x):
+    coefficient k is C(2k, k) / (k + 1)."""
+    return Series([comb(2 * k, k) // (k + 1) for k in range(order)], order)
 
 
 def from_coeffs(values, order: int) -> Series:

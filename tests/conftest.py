@@ -267,6 +267,13 @@ def from_b_sequence_oracle(b, order, bell=False):
     return RiordanMatrix(f, g)
 
 
+def catalan_oracle(order):
+    """(1 - sqrt(1-4x)) / (2x) by the O(n^2) series square root.
+    Reference for ``series.catalan``, which reads the closed form."""
+    s = Series([1, -4], order + 1).sqrt()
+    return (one_series(order + 1) - s).shift_down(1) / 2
+
+
 def b_expand_oracle(b, n, symbol="phi"):
     """[x^n] g^phi summed one ParamPoly term per odd partition of n.
     Reference for ``b_expand``, which groups the partitions by their

@@ -7,7 +7,7 @@ direct rows) so that neither can silently drift.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,7 +65,7 @@ from riordan import (
     rna_row_closed,
     rna_series,
 )
-from riordan.bexpansion import _odd_mults, _sums_by_parts
+from riordan.bexpansion import _odd_mults, _sums_by_parts, _weight
 from riordan.series import _power_columns
 from conftest import power_table_oracle as _power_table
 
@@ -180,7 +180,27 @@ class TestBExpand:
             b_expand(geometric(41), PARTITION_N_LIMIT + 1)
 
     def test_n_zero(self):
-        assert b_expand(B_CATALAN, 0) == ParamPoly.const(1, "phi")
+        # The empty partition weighs 1, under the requested symbol.
+        for symbol in ("phi", "t"):
+            for got in (
+                b_expand(B_CATALAN, 0, symbol),
+                b_expand_symbolic(0, symbol)[()],
+                generalized_binomial(3, 1, symbol)[0],
+            ):
+                assert (got.symbol, got.coeffs) == (symbol, (1,))
+        assert list(b_expand_symbolic(0)) == [()]
+
+
+class TestWeight:
+    @given(k=st.integers(1, 60), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_falling_factorial(self, k, data):
+        # phi (phi+k-1)_{q-1}, whose value at phi = 1 is the <B> weight.
+        q = data.draw(st.integers(1, k))
+        phi = ParamPoly.param("phi")
+        w = ParamPoly(_weight(k, q))
+        assert w == phi * falling_factorial(phi + (k - 1), q - 1)
+        assert w(1) == perm(k, q - 1)
 
 
 class TestBExpandSymbolic:
@@ -658,6 +678,12 @@ class TestConvolutionMachinery:
             assert u.symbol == "beta"
             for j in (1, 2, 3, -1):
                 assert u(Fraction(j)) == (g ** j)[n], (n, j)
+
+    @pytest.mark.parametrize("phi", [0.5, ParamPoly.param("phi"), "2"])
+    def test_power_poly_rejects_inexact_phi(self, phi):
+        for n in (0, 4):
+            with pytest.raises(TypeError, match="phi must be an int or a Fraction"):
+                power_poly(B_CATALAN, n, phi)
 
     def test_power_poly_beta_one_matches_row(self):
         mat = bcomp_matrix(B_MIXED, 11)

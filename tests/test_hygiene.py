@@ -1,13 +1,23 @@
 """Static hygiene of the package source: every imported name is used,
-and every private module-level helper is referenced."""
+every private module-level helper is referenced, and importing the
+package loads only allow-listed standard-library modules."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "riordan"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+
+# The standard-library modules a package module may import when it is
+# itself imported.  Anything else adds to every start-up: import it
+# inside the function that needs it, or extend this set deliberately.
+IMPORT_TIME_STDLIB = frozenset({
+    "__future__", "argparse", "dataclasses", "fractions", "functools",
+    "importlib", "json", "math", "operator", "pathlib", "re", "sys", "typing",
+})
 
 
 def _imported(tree):
@@ -81,3 +91,29 @@ def test_no_dead_private_helpers():
         if not any(node.name in names for stmt, names in refs if stmt is not node)
     ]
     assert not dead, f"private helpers referenced nowhere: {dead}"
+
+
+def _import_time_modules(tree):
+    """{top-level module: line} for the absolute imports that run when
+    the module is imported: every one outside a function body."""
+    out = {}
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out[node.module.split(".")[0]] = node.lineno
+        todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_import_time_stdlib_allow_list(path):
+    assert IMPORT_TIME_STDLIB <= sys.stdlib_module_names
+    found = _import_time_modules(ast.parse(path.read_text(encoding="utf-8")))
+    extra = {m: line for m, line in found.items() if m not in IMPORT_TIME_STDLIB}
+    assert not extra, f"{path.name}: not allow-listed at import time: {extra}"

@@ -16,7 +16,7 @@ from riordan import (
     x_series,
     zeros,
 )
-from conftest import S, pow_param_oracle
+from conftest import S, catalan_oracle, pow_param_oracle
 
 F = Fraction
 
@@ -148,6 +148,14 @@ class TestArithmeticOracles:
     def test_catalan_functional_equation(self):
         c = catalan(10)
         assert c == 1 + c * c * x_series(10)
+
+    def test_catalan_closed_form_matches_square_root(self):
+        for order in range(1, 65):
+            got, want = catalan(order), catalan_oracle(order)
+            assert (got.order, got.coeffs) == (want.order, want.coeffs)
+        for order in (0, -3):
+            with pytest.raises(ValueError):
+                catalan(order)
 
     def test_compose(self):
         c = catalan(8)
