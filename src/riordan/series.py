@@ -399,8 +399,7 @@ def exp_series(order: int) -> Series:
 
 
 def catalan(order: int) -> Series:
-    """Catalan number generating function (1 - sqrt(1-4x)) / (2x):
-    coefficient k is C(2k, k) / (k + 1)."""
+    """Catalan generating function (1 - sqrt(1-4x)) / (2x): C(2k, k)/(k+1)."""
     return Series([comb(2 * k, k) // (k + 1) for k in range(order)], order)
 
 

@@ -100,7 +100,7 @@ def _import_time_modules(tree):
     todo = list(tree.body)
     while todo:
         node = todo.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         if isinstance(node, ast.Import):
             for alias in node.names:
