@@ -13,9 +13,12 @@ order alternating from seed to seed (P, C, then C, P, ...), so a drift of
 the machine weighs on both sides alike.
 
 The output holds the environment (both SHAs, and Python, ``nproc`` and
-CPU as ``perfbench/run.py`` reports them), the median and interquartile
-range of each end-to-end metric on each side, and the child/parent
-comparison: ``worse_by`` is the relative change of the medians in the bad
+CPU as ``perfbench/run.py`` reports them), each side's runs of each
+end-to-end metric in seed order with their median and interquartile
+range, and the child/parent comparison: ``ratio`` is the child's median
+over the parent's and ``paired_ratio`` the median over seeds of
+child/parent within each pair, which a drift of the machine along the
+run order moves less than the medians; ``worse_by`` is the relative change of the medians in the bad
 direction (negative when the child is better), ``within_bound`` is
 ``worse_by <= bound``, ``wins`` counts the seeds whose child run reads
 strictly better than its parent run, and ``spread`` is the wider of the
@@ -41,13 +44,14 @@ SEEDS = list(range(1, 11))  # ten alternating parent/child pairs per workload
 
 
 def summarize(values: list[float]) -> dict:
-    """Median and interquartile range (inclusive quartiles) of the runs."""
-    values = sorted(values)
+    """Median and interquartile range (inclusive quartiles) of the runs;
+    the runs are kept in seed order, so run i of the parent and run i of
+    the child are pair i."""
     if len(values) == 1:
         q1 = q3 = values[0]
     else:
         q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": statistics.median(values), "iqr": q3 - q1, "runs": values}
+    return {"median": statistics.median(values), "iqr": q3 - q1, "runs": list(values)}
 
 
 def compare(parent: list[float], child: list[float], metric: dict) -> dict:
@@ -58,6 +62,7 @@ def compare(parent: list[float], child: list[float], metric: dict) -> dict:
     worse_by = sign * (1 - c["median"] / p["median"])
     bound = metric["bound"]
     wins = sum(sign * (y - x) > 0 for x, y in zip(parent, child))
+    paired_ratio = statistics.median(y / x for x, y in zip(parent, child))
     spread = max(p["iqr"] / p["median"], c["iqr"] / c["median"])
     dominates = min(sign * v for v in child) > max(sign * v for v in parent)
     if wins >= 0.9 * len(parent) and sign * (c["median"] - p["median"]) > p["iqr"]:
@@ -70,6 +75,7 @@ def compare(parent: list[float], child: list[float], metric: dict) -> dict:
         verdict = "unchanged"
     return {
         "ratio": c["median"] / p["median"],
+        "paired_ratio": paired_ratio,
         "worse_by": worse_by,
         "bound": bound,
         "within_bound": worse_by <= bound,

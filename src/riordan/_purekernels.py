@@ -1,9 +1,9 @@
 """Kernels for truncated power-series arithmetic.
 
 Each function operates on plain lists of coefficients of one fixed
-truncation length ``n`` (indices 0 .. n-1) and returns a new list of the
-same length.  ``zero`` is the ring's additive identity, and its type
-picks the method:
+truncation length (``n``, or the input's length for ``columns``) and
+returns new lists of that length.  ``zero`` is the ring's additive
+identity, and its type picks the method:
 
 * ``Fraction`` coefficients run on integers.  Each input is put over one
   common denominator, the lcm of its denominators, and the kernels work
@@ -15,16 +15,15 @@ picks the method:
   (Schoenhage 1982; D. Harvey, "Faster polynomial multiplication via
   multipoint Kronecker substitution", J. Symbolic Comput. 2009).
 * Any other exact ring (``ParamPoly`` coefficients) runs on the generic
-  loops ``generic_mul``, ``generic_div``, ``generic_compose`` and
-  ``generic_revert``, which need only ``+``, ``-``, ``*`` and division
-  by an invertible element.  They are also the reference the integer
-  routines are tested against.
+  loops of the same names (``generic_mul`` and so on), which need only
+  ``+``, ``-``, ``*`` and division by an invertible element.  They are
+  also the reference the integer routines are tested against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul as _times
 
 ZERO = Fraction(0)
@@ -120,6 +119,28 @@ def revert(f: list, n: int, zero=ZERO) -> list:
         den *= square
         out[m] = Fraction(big_v[m] * num, den)
     return out
+
+
+def columns(a: list, n: int, beta=None, zero=ZERO) -> list:
+    """The first ``n`` columns of c_0 = 1, c_m = a (w c_(m-1)) / m, as long
+    as ``a``: w_s = 1 without ``beta`` (c_m = a^m / m!), w_s = beta + s with
+    it (a = x b gives c_m = x b ((beta + xD) c_(m-1)) / m).  Rational
+    columns stay integers over one denominator, one gcd per column."""
+    if type(zero) is not Fraction:
+        return generic_columns(a, n, beta, zero)
+    x, dx = _integers(a)
+    p, q = (1, 1) if beta is None else (beta.numerator, beta.denominator)
+    nums, den = [1] + [0] * (len(a) - 1), 1
+    cols = [_fractions(nums, den)]
+    for m in range(1, n):
+        if beta is not None:
+            nums = [(p + s * q) * c for s, c in enumerate(nums)]
+        nums = _kronecker_mul(x, nums, len(a))
+        den *= dx * q * m
+        r = gcd(den, *nums)
+        nums, den = [c // r for c in nums], den // r
+        cols.append(_fractions(nums, den))
+    return cols[:n]
 
 
 # -- integer vectors ------------------------------------------------------
@@ -243,3 +264,14 @@ def generic_revert(f: list, n: int, zero=ZERO) -> list:
                 acc = acc - c * powers[k][m]
         out[m] = acc / diag
     return out
+
+
+def generic_columns(a: list, n: int, beta=None, zero=ZERO) -> list:
+    """``columns`` in ring arithmetic: one series product per column."""
+    cols = [[Fraction(1)] + [ZERO] * (len(a) - 1)]
+    for m in range(1, n):
+        w = cols[-1]
+        if beta is not None:
+            w = [(beta + s) * c for s, c in enumerate(w)]
+        cols.append([c / m for c in generic_mul(a, w, len(a), zero)])
+    return cols[:n]

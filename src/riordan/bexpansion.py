@@ -13,7 +13,7 @@ only through q: each is a sum over q of a weight (:func:`_weight`) times
 (Comtet, *Advanced Combinatorics*, 1974, sec. 3.3), accumulated once by
 :func:`_sums_by_parts`.  The convolution route reads the same numbers
 off the columns B^m / m! of the exponential Lagrange matrix (1, xB)_E
-(:func:`series._power_columns`, one product each), whose [x^j] is
+(:func:`series._power_columns`, one packed product each), whose [x^j] is
 s_j(m) / m! with s_j(m) = [x^j] B^m: they rebuild the rows of <B>
 (:func:`bcomp_row_from_convolutions`), generalize them to powers of
 g^[phi] (:func:`power_poly`) and give the descending diagonals of
@@ -224,6 +224,8 @@ def a_expand(a: Series, n: int, symbol: str = "phi") -> ParamPoly:
     """
     if a[0] != 1:
         raise ValueError("a_expand requires an A-series with constant term 1")
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if n == 0:
         return ParamPoly.const(1, symbol)
     cols = _power_columns((a.pad_zeros(n + 1) - 1).shift_down(1), n + 1)
@@ -413,6 +415,8 @@ def convolution_rows(b: Series, order: int) -> Triangle:
 def _column_sums(b: Series, n: int) -> dict[int, Fraction]:
     """{m: [x^{(n-m)/2}] B^m / m!} for 0 < m <= n with n - m even, read
     off the columns of :func:`_power_columns`; n >= 1."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     need = (n + 1) // 2
     cols = _power_columns(Series(_b_coeffs(b, need), need), n + 1)
     return {m: cols[m][(n - m) // 2] for m in range(n % 2 or 2, n + 1, 2)}
@@ -450,6 +454,8 @@ def exp_lagrange_diagonal(b: Series, n: int, order: int) -> Series:
 
     Entry m is (n+m)! [x^n] B^m / m!, read off column m of the matrix.
     """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     cols = _power_columns(Series(_b_coeffs(b, n + 1), n + 1), order)
     return Series([factorial(n + m) * c[n] for m, c in enumerate(cols)], order)
 
@@ -484,6 +490,8 @@ def rna_series(order: int, beta=1, phi=1) -> Series:
     Solves g = 1 + x g phi/(1 - beta x^2 g); beta = 0 degenerates to
     the geometric series 1/(1 - phi x).
     """
+    if order < 1:
+        raise ValueError("series order must be at least 1")
     beta = Fraction(beta) if isinstance(beta, int) else beta
     phi = Fraction(phi) if isinstance(phi, int) else phi
     if not beta:

@@ -50,7 +50,7 @@ def _as_series(v, order=None):
 class RiordanMatrix:
     """The matrix ``(f(x), x g(x))`` truncated to a common order."""
 
-    __slots__ = ("f", "g", "kind", "_tri")
+    __slots__ = ("f", "g", "kind")
 
     def __init__(self, f, g, kind: str = ORDINARY):
         # A scalar component borrows its order from the series component.
@@ -67,7 +67,6 @@ class RiordanMatrix:
         self.f = f.truncate(n)
         self.g = g.truncate(n)
         self.kind = kind
-        self._tri = None
 
     @property
     def order(self) -> int:
@@ -85,8 +84,6 @@ class RiordanMatrix:
 
     def triangle(self) -> Triangle:
         """The explicit lower-triangular array, one row per order."""
-        if self._tri is not None:
-            return self._tri
         w = self.xg()
         columns = [self.f]
         for _ in range(1, self.order):
@@ -97,8 +94,7 @@ class RiordanMatrix:
                  for i, c in enumerate(col.coeffs)]
                 for m, col in enumerate(columns)
             ]
-        self._tri = Triangle.from_columns(columns)
-        return self._tri
+        return Triangle.from_columns(columns)
 
     # -- group structure -------------------------------------------------
 

@@ -13,9 +13,9 @@ arithmetic and the tests' reference for the integer route.
 m = (1/m!) log(g, xg)^m e_0, whose rows, read as polynomials,
 interpolate the coefficients of g^(phi).  Applying (b, x) D^T to a
 column v is x b (xv)', so the columns follow
-c_m = x b ((beta + xD) c_{m-1}) / m with beta = 1, one series product
-each; ``composition_sum`` reads [x^n] (g^(phi))^beta off the same
-recurrence for any beta, from b alone.
+c_m = x b ((beta + xD) c_{m-1}) / m with beta = 1, the ``columns``
+kernel on x b; ``composition_sum`` reads [x^n] (g^(phi))^beta off the
+same recurrence for any beta, from b alone.
 """
 
 from __future__ import annotations
@@ -25,34 +25,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from ._purekernels import _integers
 from .core import RiordanMatrix
 from .rings import ONE, ZERO, ParamPoly
-from .series import Series, one_series
+from .series import Series, _power_columns
 from .triangle import Triangle
-
-
-def _composition_columns(b: Series, n: int, beta) -> list[Series]:
-    """Columns c_0 .. c_(n-1), each of order n, of c_0 = 1 and
-    c_m = x b ((beta + xD) c_(m-1)) / m: [phi^m x^i] (g^(phi))^beta for
-    the log generator b of g and an ``int`` or ``Fraction`` beta.  b
-    needs order n - 1 (any order when n = 1).  For rational b and
-    beta = p/q, with c_(m-1) = nums/den over integers, coefficient s of
-    (beta + xD) c_(m-1) / m is (p + sq) nums_s / (mq den); a symbolic b
-    takes ring arithmetic."""
-    xb = b.shift_up(1, extend=True)
-    rational = b.is_rational()
-    p, q = beta.numerator, beta.denominator
-    cols = [one_series(n)]
-    for m in range(1, n):
-        if rational:
-            nums, den = _integers(cols[-1].coeffs)
-            den *= m * q
-            w = [Fraction((p + s * q) * c, den) for s, c in enumerate(nums)]
-        else:
-            w = [(beta + s) * c / m for s, c in enumerate(cols[-1].coeffs)]
-        cols.append(xb * Series(w, n))
-    return cols
 
 
 def generic_log_generator(g: Series) -> Series:
@@ -150,13 +126,11 @@ class CompositionMatrix:
 def composition_matrix(g: Series) -> CompositionMatrix:
     """The matrix of composition polynomials of g.
 
-    Column m is (1/m!) log(g, xg)^m e_0, computed from column m-1 as
-    x b (x c_(m-1))' / m with b read off column 0 of ``bell_log``.
+    Column m is (1/m!) log(g, xg)^m e_0: the ``columns`` kernel with
+    beta = 1 on x b, column 0 of ``bell_log``.
     """
     log = bell_log(g)
-    n = log.nrows
-    b = Series([log.entry(i + 1, 0) for i in range(n - 1)], max(n - 1, 1))
-    cols = _composition_columns(b, n, 1)
+    cols = _power_columns(log.column(0), log.nrows, 1)
     return CompositionMatrix(Triangle.from_columns(cols), g)
 
 
@@ -181,7 +155,7 @@ def composition_sum(
     n = i_1 + ... + i_m, the product b_{i_1-1} ... b_{i_m-1} with the
     rising prefix factors beta (beta+i_1) (beta+i_1+i_2) ..., over m!.
     The sum is accumulated by the column recurrence of
-    ``composition_matrix`` (n series products, no ceiling on n).
+    ``composition_matrix`` (n column products, no ceiling on n).
     With beta = 1 this is the composition polynomial c_n(phi); beta is
     an ``int`` or a ``Fraction``.
     """
@@ -191,5 +165,5 @@ def composition_sum(
         raise TypeError(f"beta must be an int or a Fraction, got {beta!r}")
     if b.order < n:
         raise ValueError(f"b needs order >= {n}, has {b.order}")
-    cols = _composition_columns(b, n + 1, beta)
-    return ParamPoly([c[n] for c in cols], symbol)
+    xb = b.shift_up(1, extend=True).truncate(n + 1)
+    return ParamPoly([c[n] for c in _power_columns(xb, n + 1, beta)], symbol)

@@ -319,8 +319,7 @@ class Series:
         """
         if not self._rational:
             raise ValueError("pow_param needs purely rational coefficients")
-        cols = _power_columns(self.log(), self.order)
-        rows = zip(*(c.coeffs for c in cols))
+        rows = zip(*_power_columns(self.log(), self.order))
         return Series([ParamPoly(r, symbol) for r in rows], self.order)
 
     # -- comparison and display -----------------------------------------
@@ -353,16 +352,11 @@ class Series:
         return f"{body} + O(x^{self.order})"
 
 
-def _power_columns(a: Series, n: int) -> list[Series]:
-    """c_0 = 1 and c_m = c_(m-1) a / m for m < n: the series a^m / m!,
-    one product each, all to the order of a (n may exceed it).  x^m c_m
-    is column m of the exponential matrix (1, xa)_E.  With a = log g,
-    [x^k] c_m is the coefficient of phi^m in [x^k] g^phi; with a = B,
-    [x^j] c_m is the convolution number s_j(m) = [x^j] B^m over m!."""
-    cols = [one_series(a.order)]
-    for m in range(1, n):
-        cols.append(cols[-1] * a / m)
-    return cols
+def _power_columns(a: Series, n: int, beta=None) -> list[list]:
+    """The ``columns`` kernel on a in a's ring, n columns to the order of
+    a.  Without beta, c_m = a^m / m!: [x^k] c_m is [phi^m x^k] g^phi for
+    a = log g, and s_j(m) / m! with s_j(m) = [x^j] B^m for a = B."""
+    return kernels.columns(list(a.coeffs), n, beta, _ring_zero(a))
 
 
 # -- named constructors -------------------------------------------------

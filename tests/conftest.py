@@ -23,6 +23,7 @@ from riordan import (
     odd_partitions,
     one_series,
 )
+from riordan._purekernels import _integers
 from riordan.bexpansion import _b_coeffs, _odd_mults_cached
 from riordan.core import _as_series
 from riordan.matrixlog import bell_log
@@ -445,6 +446,43 @@ def exp_lagrange_diagonal_oracle(b, n, order):
     for m in range(order):
         out.append(Fraction(factorial(n + m), factorial(m)) * table[m][n])
     return Series(out, order)
+
+
+def power_columns_oracle(a: Series, n: int) -> list[Series]:
+    """c_0 = 1 and c_m = c_(m-1) a / m for m < n: the series a^m / m!,
+    one product each, all to the order of a (n may exceed it).  x^m c_m
+    is column m of the exponential matrix (1, xa)_E.  With a = log g,
+    [x^k] c_m is the coefficient of phi^m in [x^k] g^phi; with a = B,
+    [x^j] c_m is the convolution number s_j(m) = [x^j] B^m over m!.
+    Reference for the ``columns`` kernel without beta."""
+    cols = [one_series(a.order)]
+    for m in range(1, n):
+        cols.append(cols[-1] * a / m)
+    return cols
+
+
+def composition_columns_oracle(b: Series, n: int, beta) -> list[Series]:
+    """Columns c_0 .. c_(n-1), each of order n, of c_0 = 1 and
+    c_m = x b ((beta + xD) c_(m-1)) / m: [phi^m x^i] (g^(phi))^beta for
+    the log generator b of g and an ``int`` or ``Fraction`` beta.  b
+    needs order n - 1 (any order when n = 1).  For rational b and
+    beta = p/q, with c_(m-1) = nums/den over integers, coefficient s of
+    (beta + xD) c_(m-1) / m is (p + sq) nums_s / (mq den); a symbolic b
+    takes ring arithmetic.  Reference for the ``columns`` kernel with
+    beta, on a = x b."""
+    xb = b.shift_up(1, extend=True)
+    rational = b.is_rational()
+    p, q = beta.numerator, beta.denominator
+    cols = [one_series(n)]
+    for m in range(1, n):
+        if rational:
+            nums, den = _integers(cols[-1].coeffs)
+            den *= m * q
+            w = [Fraction((p + s * q) * c, den) for s, c in enumerate(nums)]
+        else:
+            w = [(beta + s) * c / m for s, c in enumerate(cols[-1].coeffs)]
+        cols.append(xb * Series(w, n))
+    return cols
 
 
 @pytest.fixture

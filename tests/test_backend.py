@@ -11,6 +11,8 @@ from riordan import ParamPoly, RiordanMatrix, Series, geometric
 from riordan import _purekernels as kernels
 from riordan._backend import backend_name
 
+from conftest import composition_columns_oracle, power_columns_oracle
+
 F = Fraction
 PZERO = ParamPoly(())
 
@@ -170,3 +172,66 @@ class TestKernelAgreement:
                 ZeroDivisionError, match="invertible linear coefficient"
             ):
                 kernels.revert([nil, nil, one], 3, z)
+
+
+BETAS = st.sampled_from([None, 0, 1, F(-2, 3), F(3, 2)])
+
+
+def exact(cols):
+    """Columns with each coefficient's type and symbol, so that 1 and
+    Fraction(1), or two symbols, tell apart."""
+    return [[(type(c), getattr(c, "symbol", None), c) for c in col] for col in cols]
+
+
+@st.composite
+def column_operands(draw):
+    """A length from 1 to 40, a coefficient list of that length (all
+    zeros in some draws), a column count up to twice the length and a
+    beta."""
+    size = draw(st.integers(1, 40))
+    a = draw(coeffs(size))
+    if draw(st.booleans()) and draw(st.booleans()):
+        a = [F(0)] * size
+    return a, draw(st.integers(0, 2 * size)), draw(BETAS)
+
+
+class TestColumns:
+    """The packed ``columns`` kernel against ``generic_columns`` and
+    against the two column loops it replaced (``conftest``)."""
+
+    @given(column_operands())
+    @settings(max_examples=40, deadline=None)
+    def test_packed_equals_generic(self, case):
+        a, n, beta = case
+        got = kernels.columns(a, n, beta)
+        assert len(got) == n
+        assert exact(got) == exact(kernels.generic_columns(a, n, beta))
+
+    @given(column_operands())
+    @settings(max_examples=40, deadline=None)
+    def test_powers_against_oracle(self, case):
+        a, n, _ = case
+        want = power_columns_oracle(Series(a), max(n, 1))[:n]
+        assert exact(kernels.columns(a, n)) == exact(c.coeffs for c in want)
+
+    @given(column_operands(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_composition_against_oracle(self, case, data):
+        b, _, beta = case
+        beta = 1 if beta is None else beta
+        n = data.draw(st.integers(1, len(b) + 1))
+        want = composition_columns_oracle(Series(b), n, beta)
+        got = kernels.columns(([F(0)] + b)[:n], n, beta)
+        assert exact(got) == exact(c.coeffs for c in want)
+
+    @pytest.mark.parametrize("beta", [None, 1, F(-2, 3)])
+    def test_param_coefficients(self, beta):
+        # the ring route against the oracles' ring arithmetic
+        b = Series(A_PARAM)
+        if beta is None:
+            got = kernels.columns(A_PARAM, 7, None, PZERO)
+            want = power_columns_oracle(b, 7)
+        else:
+            got = kernels.columns([PZERO] + A_PARAM, 5, beta, PZERO)
+            want = composition_columns_oracle(b, 5, beta)
+        assert exact(got) == exact(c.coeffs for c in want)

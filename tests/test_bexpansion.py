@@ -482,7 +482,7 @@ class TestPowerColumnReaders:
     def test_columns_are_scaled_powers(self, b, m):
         col = _power_columns(b, m + 1)[m]
         table = _power_table(b, b.order - 1, m)
-        assert [c * factorial(m) for c in col.coeffs] == table[m]
+        assert [c * factorial(m) for c in col] == table[m]
 
     def test_short_window_refused(self):
         # catalan(3) knows 3 coefficients; row n reads (n + 1)//2 and
@@ -498,6 +498,24 @@ class TestPowerColumnReaders:
         for n in range(7):
             assert bcomp_row_from_convolutions(b, n) == mat.row_poly(n)
         assert exp_lagrange_diagonal(b, 2, 4) == exp_lagrange_diagonal_oracle(b, 2, 4)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: a_expand(geometric(5), -1), "n must be non-negative"),
+        (lambda: power_poly(catalan(5), -1), "n must be non-negative"),
+        (lambda: bcomp_row_from_convolutions(catalan(5), -1), "n must be non-negative"),
+        (lambda: exp_lagrange_diagonal(catalan(5), -1, 3), "n must be non-negative"),
+        (lambda: rna_series(0), "series order must be at least 1"),
+    ],
+    ids=["a_expand", "power_poly", "bcomp_row_from_convolutions",
+         "exp_lagrange_diagonal", "rna_series"],
+)
+def test_out_of_range_size_names_the_input(call, message):
+    # the messages b_expand(b, -1) and catalan(0) give
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 class TestClosedFormEntries:

@@ -36,7 +36,7 @@ def test_median_and_iqr():
     s = trajectory.summarize([4.0, 1.0, 3.0, 2.0, 5.0])
     assert s["median"] == 3.0
     assert s["iqr"] == 2.0  # inclusive quartiles 2 and 4
-    assert s["runs"] == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert s["runs"] == [4.0, 1.0, 3.0, 2.0, 5.0]  # seed order, not sorted
     three = trajectory.summarize([10.0, 30.0, 20.0])
     assert (three["median"], three["iqr"]) == (20.0, 10.0)  # quartiles 15, 25
     assert trajectory.summarize([7.0])["iqr"] == 0
@@ -121,6 +121,24 @@ def test_workload_summary_from_result_lines():
     p90 = out["metrics"]["op_p90_ms"]
     assert (p90["parent"]["median"], p90["child"]["median"]) == (22, 8)
     assert p90["worse_by"] == pytest.approx(8 / 22 - 1)
+
+
+def test_runs_keep_their_pairs_under_drift():
+    # both sides rise with the run order; the child wins nine pairs by
+    # 1-10% and loses pair 6 badly, so its median reads lower than the
+    # parent's while the median paired ratio reads higher
+    parent = [10.0 * k for k in range(1, 11)]
+    child = [p + 1 for p in parent]
+    child[5] = 5.0
+    runs = {
+        "parent": [result_line(v, 1.0) for v in parent],
+        "child": [result_line(v, 1.0) for v in child],
+    }
+    ops = trajectory.summarize_workload(runs, SPEC)["metrics"]["ops_per_s"]
+    assert (ops["parent"]["runs"], ops["child"]["runs"]) == (parent, child)
+    assert ops["wins"] == 9
+    assert ops["ratio"] == pytest.approx(46 / 55)
+    assert ops["paired_ratio"] == pytest.approx((71 / 70 + 51 / 50) / 2)
 
 
 def test_parse_run_reads_the_last_two_lines():
