@@ -35,7 +35,7 @@ from math import comb, factorial, gcd, perm
 from ._purekernels import _integers
 from .rings import ONE, ZERO, ParamPoly, binomial
 from .series import Series, _power_columns
-from .triangle import Triangle
+from .triangle import CompositionMatrix as BCompMatrix, Triangle
 
 PARTITION_N_LIMIT = 80  # counts stay in the tens of thousands here
 
@@ -261,28 +261,6 @@ def generalized_binomial(r: int, order: int, symbol: str = "phi") -> Series:
 # -- B-composition matrices ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class BCompMatrix:
-    """Triangle whose row n interpolates [x^n] g^[phi].
-
-    g^[phi] solves g = 1 + x g * phi B(x^2 g); entry (n, m) is zero
-    when n - m is odd, and column 1 carries x B(x^2).
-    """
-
-    triangle: Triangle
-    source: Series
-
-    def entry(self, n: int, m: int):
-        return self.triangle.entry(n, m)
-
-    def row_poly(self, n: int, symbol: str = "x") -> ParamPoly:
-        return self.triangle.row_poly(n, symbol)
-
-    @property
-    def nrows(self) -> int:
-        return self.triangle.nrows
-
-
 def _bcomp_row(bs: list[Fraction], n: int) -> list[Fraction]:
     """Row n of <B> by the partition formula: entry q is
     (k)_{q-1} S_q with k = (n+q)/2."""
@@ -296,7 +274,11 @@ def _bcomp_row(bs: list[Fraction], n: int) -> list[Fraction]:
 
 def bcomp_matrix(b: Series, order: int) -> BCompMatrix:
     """The B-composition matrix <B> with ``order`` rows, at most
-    ``PARTITION_N_LIMIT + 1`` (row n sums over the odd partitions of n)."""
+    ``PARTITION_N_LIMIT + 1`` (row n sums over the odd partitions of n).
+
+    Row n interpolates [x^n] g^[phi], where g^[phi] solves
+    g = 1 + x g * phi B(x^2 g); entry (n, m) is zero when n - m is odd,
+    and column 1 carries x B(x^2)."""
     if order > PARTITION_N_LIMIT + 1:
         raise ValueError(
             f"<B> is limited to {PARTITION_N_LIMIT + 1} rows"

@@ -32,7 +32,8 @@ from .suites import SUITES, run_all, run_suite
 # below order 7 theorem72 cannot tell geometric B from Catalan B
 CHECK_ORDER_MIN = 7
 # the matrix-log commands (power --order, comp-poly --rows) take about
-# 2 s at 128 terms of sqrt(1+x) and grow about as n^4: 9 s at 192, 29 s at 256
+# 0.6 s at 128 terms of sqrt(1+x), 0.16 s of rna, and grow about as n^4:
+# 3.3 s at 192, 11 s at 256 (in-process, CPython 3.11.7, 2-vCPU VM)
 MATRIX_LOG_N_LIMIT = 128
 
 

@@ -4,9 +4,7 @@ For g with g(0) = 1, K = (g, xg) - I is nilpotent at any finite
 truncation.  Everything here derives, in one direction, from the log
 generator b: ``log_generator`` checks g(0) = 1, sums column 0 of
 log(g, xg) as sum_{p>=1} (-1)^(p-1)/p K^p e_0 over g's full order and
-divides it by x, on integer vectors for rational g; g with ``ParamPoly``
-coefficients takes ``generic_log_generator``, the same sum in ring
-arithmetic and the tests' reference for the integer route.
+divides it by x, in one loop for both coefficient rings.
 ``bell_log`` fills log(g, xg) = (b(x), x) D^T, entry
 (i, m) = (m+1) b_(i-m-1) (Jabotinsky, "Analytic iteration", Trans. AMS
 1963); and ``composition_matrix`` has column
@@ -20,29 +18,14 @@ same recurrence for any beta, from b alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
 from .core import RiordanMatrix
-from .rings import ONE, ZERO, ParamPoly
+from .rings import ZERO, ParamPoly
 from .series import Series, _power_columns
-from .triangle import Triangle
-
-
-def generic_log_generator(g: Series) -> Series:
-    """``log_generator`` as n ``Triangle.apply_vec`` products on
-    K = (g, xg) - I in ring arithmetic, for ``ParamPoly`` g."""
-    n = g.order
-    k = RiordanMatrix(g, g).triangle().add(Triangle.identity(n).scale(-1))
-    col, vec = [ZERO] * n, [ONE] + [ZERO] * (n - 1)
-    for p in range(1, n):
-        vec = k.apply_vec(vec)
-        if not any(vec):
-            break
-        col = [c + Fraction((-1) ** (p - 1), p) * v for c, v in zip(col, vec)]
-    return Series(col[1:], n - 1)
+from .triangle import CompositionMatrix, Triangle
 
 
 def log_generator(g: Series) -> Series:
@@ -52,38 +35,45 @@ def log_generator(g: Series) -> Series:
 
     Column 0 of the log is sum_{p>=1} (-1)^(p-1)/p K^p e_0 with
     K = (g, xg) - I.  The diagonal of (g, xg) is 1 and cancels, so K is
-    the strictly lower part of the triangle.  For rational g it is
-    scaled once to integer rows over the lcm of its denominators; K^p e_0
-    and the partial sum stay integer vectors over one denominator,
-    reduced by one gcd each per p, and the entries of K^p e_0 below
-    index p vanish and are skipped.  g with ``ParamPoly`` coefficients
-    takes ``generic_log_generator``.  b has order n - 1, so g needs
-    g(0) = 1 and order n >= 2."""
+    the strictly lower part of the triangle, and the entries of K^p e_0
+    below index p vanish and are skipped.  K^p e_0 and the partial sum
+    are each a vector over one integer denominator.  For rational g, K
+    is scaled once to integer rows over the lcm of its denominators and
+    both vectors are reduced by one gcd each per p; for g with
+    ``ParamPoly`` coefficients the rows are g's ring elements over
+    denominator 1.  b has order n - 1, so g needs g(0) = 1 and order
+    n >= 2."""
     if g[0] != 1:
         raise ValueError("requires g with constant term 1")
     n = g.order
     if n < 2:
         raise ValueError(f"log_generator needs g to order at least 2, got order {n}")
-    if not g.is_rational():
-        return generic_log_generator(g)
     lower = [row[:-1] for row in RiordanMatrix(g, g).triangle().rows]
-    den = lcm(*[c.denominator for row in lower for c in row])
-    k = [[c.numerator * (den // c.denominator) for c in row] for row in lower]
+    rational = g.is_rational()
+    if rational:
+        den = lcm(*[c.denominator for row in lower for c in row])
+        k = [[c.numerator * (den // c.denominator) for c in row] for row in lower]
+    else:
+        den, k = 1, lower
     vec, vden = [1] + [0] * (n - 1), 1  # K^p e_0 = vec / vden
     col, cden = [0] * n, 1  # the partial sum, col / cden
     for p in range(1, n):
         vec = [0] * p + [sum(map(mul, row[p - 1:], vec[p - 1:])) for row in k[p:]]
         if not any(vec):
             break
-        r = gcd(vden * den, *vec)
-        vec, vden = [v // r for v in vec], vden * den // r
+        vden *= den
+        if rational:
+            r = gcd(vden, *vec)
+            vec, vden = [v // r for v in vec], vden // r
         tden = p * vden
         full = lcm(cden, tden)
         a, t = full // cden, (full // tden) * (-1) ** (p - 1)
-        col = [c * a + v * t for c, v in zip(col, vec)]
-        r = gcd(full, *col)
-        col, cden = [c // r for c in col], full // r
-    return Series([Fraction(c, cden) for c in col[1:]], n - 1)
+        col, cden = [c * a + v * t for c, v in zip(col, vec)], full
+        if rational:
+            r = gcd(cden, *col)
+            col, cden = [c // r for c in col], cden // r
+    inv = Fraction(1, cden)
+    return Series([c * inv for c in col[1:]], n - 1)
 
 
 def bell_log(g: Series) -> Triangle:
@@ -98,29 +88,6 @@ def bell_log(g: Series) -> Triangle:
         [[(m + 1) * b[i - m - 1] if i > m else ZERO for m in range(i + 1)]
          for i in range(n)]
     )
-
-
-@dataclass(frozen=True)
-class CompositionMatrix:
-    """Rows are the composition polynomials of the source series.
-
-    Column n of ``triangle`` holds (1/n!) log(g, xg)^n applied to the
-    unit column; row n read as a polynomial c_n satisfies
-    sum_n c_n(phi) x^n = bell_power(g, phi).
-    """
-
-    triangle: Triangle
-    source: Series
-
-    def entry(self, n: int, m: int):
-        return self.triangle.entry(n, m)
-
-    def row_poly(self, n: int, symbol: str = "x") -> ParamPoly:
-        return self.triangle.row_poly(n, symbol)
-
-    @property
-    def nrows(self) -> int:
-        return self.triangle.nrows
 
 
 def composition_matrix(g: Series) -> CompositionMatrix:

@@ -34,8 +34,8 @@ def _normalize(c):
 def _ring_zero(*series):
     """The zero of the coefficient ring the series share."""
     for s in series:
-        if not s._rational:
-            return s._zero()
+        if isinstance(s._zero, ParamPoly):
+            return s._zero
     return ZERO
 
 
@@ -44,10 +44,12 @@ class Series:
 
     ``order`` is the number of known coefficients; it is explicit in
     every result.  Equality compares coefficients up to the common
-    order.
+    order.  ``_zero`` is the zero of the coefficient ring, fixed once
+    from the coefficients inside the window: a ``ParamPoly`` zero in the
+    symbol of the first ``ParamPoly`` coefficient, else ``Fraction(0)``.
     """
 
-    __slots__ = ("coeffs", "order", "_rational")
+    __slots__ = ("coeffs", "order", "_zero")
 
     def __init__(self, coeffs=(), order: int | None = None):
         cs = [_normalize(c) for c in coeffs]
@@ -55,27 +57,19 @@ class Series:
             order = len(cs)
         if order < 1:
             raise ValueError("series order must be at least 1")
-        if len(cs) < order:
-            pad = self._zero_of(cs)
-            cs.extend([pad] * (order - len(cs)))
-        elif len(cs) > order:
-            del cs[order:]
-        self.coeffs = tuple(cs)
-        self.order = order
-        self._rational = all(isinstance(c, Fraction) for c in cs)
-
-    @staticmethod
-    def _zero_of(cs):
+        del cs[order:]
+        zero = ZERO
         for c in cs:
             if isinstance(c, ParamPoly):
-                return ParamPoly((), c.symbol)
-        return ZERO
-
-    def _zero(self):
-        return self._zero_of(self.coeffs)
+                zero = ParamPoly((), c.symbol)
+                break
+        cs.extend([zero] * (order - len(cs)))
+        self.coeffs = tuple(cs)
+        self.order = order
+        self._zero = zero
 
     def _one(self):
-        return self._zero() + 1
+        return self._zero + 1
 
     # -- basic access ---------------------------------------------------
 
@@ -97,7 +91,7 @@ class Series:
         return self.order
 
     def is_rational(self) -> bool:
-        return self._rational
+        return isinstance(self._zero, Fraction)
 
     def eval_param(self, value) -> "Series":
         """Substitute an exact value for the formal parameter."""
@@ -121,13 +115,13 @@ class Series:
         """
         if m < self.order:
             return self.truncate(m)
-        return Series(self.coeffs + (self._zero(),) * (m - self.order), m)
+        return Series(self.coeffs + (self._zero,) * (m - self.order), m)
 
     def shift_up(self, k: int = 1, extend: bool = False) -> "Series":
         """Multiply by x^k.  With ``extend`` the order grows by ``k``
         (no information is lost); otherwise the top coefficients fall
         off the truncation window."""
-        z = (self._zero(),) * k
+        z = (self._zero,) * k
         if extend:
             return Series(z + self.coeffs, self.order + k)
         return Series(z + self.coeffs[: self.order - k], self.order)
@@ -260,7 +254,7 @@ class Series:
 
     def integral(self) -> "Series":
         """Term-by-term antiderivative with zero constant term."""
-        out = [self._zero()]
+        out = [self._zero]
         for k, c in enumerate(self.coeffs):
             out.append(c / (k + 1))
         return Series(out, self.order + 1)
@@ -285,7 +279,7 @@ class Series:
         if self.coeffs[0] != 1:
             raise ValueError("log requires constant term 1")
         if self.order == 1:
-            return Series([self._zero()], 1)
+            return Series([self._zero], 1)
         return (self.derivative() / self.truncate(self.order - 1)).integral()
 
     def exp(self) -> "Series":
@@ -295,7 +289,7 @@ class Series:
         one = self._one()
         out = [one]
         for k in range(1, self.order):
-            acc = self._zero()
+            acc = self._zero
             for j in range(1, k + 1):
                 aj = self.coeffs[j]
                 if aj:
@@ -317,7 +311,7 @@ class Series:
         Specializing the parameter to any rational value gives the same
         result as :meth:`pow_rat` with that exponent.
         """
-        if not self._rational:
+        if not self.is_rational():
             raise ValueError("pow_param needs purely rational coefficients")
         rows = zip(*_power_columns(self.log(), self.order))
         return Series([ParamPoly(r, symbol) for r in rows], self.order)

@@ -6,13 +6,15 @@ rows (as coefficient lists or polynomials), columns (as power series in
 the row index), descending diagonals (series along n-m = const read by
 column), and ascending diagonals (polynomials along n+m = const).
 
-Triangles also support the little linear algebra needed elsewhere:
-addition, scaling, triangular matrix product, and application to a
-coefficient vector.
+Triangles also support a little linear algebra: addition, scaling,
+triangular matrix product, and application to a coefficient vector.
+:class:`CompositionMatrix` reads a triangle's rows as the polynomials
+of a power family of its source series.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .rings import ParamPoly, ZERO
@@ -150,3 +152,28 @@ class Triangle:
         return "\n".join(
             " ".join(str(e) for e in row) for row in self.rows
         )
+
+
+@dataclass(frozen=True)
+class CompositionMatrix:
+    """A triangle whose row n, read as a polynomial in the column index,
+    interpolates [x^n] of a power family of ``source``.
+
+    ``composition_matrix(g)`` gives the composition polynomials,
+    sum_n c_n(phi) x^n = bell_power(g, phi); ``bcomp_matrix(B, n)``
+    (also named ``BCompMatrix``) gives <B>, whose row n interpolates
+    [x^n] g^[phi].
+    """
+
+    triangle: Triangle
+    source: Series
+
+    def entry(self, n: int, m: int):
+        return self.triangle.entry(n, m)
+
+    def row_poly(self, n: int, symbol: str = "x") -> ParamPoly:
+        return self.triangle.row_poly(n, symbol)
+
+    @property
+    def nrows(self) -> int:
+        return self.triangle.nrows

@@ -72,6 +72,23 @@ def bell_log_oracle(g):
     return acc
 
 
+def generic_log_generator(g: Series) -> Series:
+    """``log_generator`` as n ``Triangle.apply_vec`` products on
+    K = (g, xg) - I in ring arithmetic, the full mat-vec on every row.
+    Reference for ``log_generator``, which runs the strictly lower rows
+    on integers over one denominator, or on ring elements over
+    denominator 1 for ``ParamPoly`` g."""
+    n = g.order
+    k = RiordanMatrix(g, g).triangle().add(Triangle.identity(n).scale(-1))
+    col, vec = [ZERO] * n, [ONE] + [ZERO] * (n - 1)
+    for p in range(1, n):
+        vec = k.apply_vec(vec)
+        if not any(vec):
+            break
+        col = [c + Fraction((-1) ** (p - 1), p) * v for c, v in zip(col, vec)]
+    return Series(col[1:], n - 1)
+
+
 def _scaled_powers(tri: Triangle, j: int = 0) -> list:
     """tri^p e_j / p! for p = 0 .. n-1-j, for strictly lower-triangular
     tri (higher powers vanish), one mat-vec product each."""
@@ -94,7 +111,7 @@ def pow_param_oracle(s, symbol="phi"):
     recurrence run on ``ParamPoly`` coefficients.  Reference for
     ``Series.pow_param``, which reads the coefficients of phi off the
     series (log s)^m / m! instead."""
-    if not s._rational:
+    if not s.is_rational():
         raise ValueError("pow_param needs purely rational coefficients")
     t = ParamPoly.param(symbol)
     scaled = Series([c * t for c in s.log().coeffs], s.order)

@@ -23,12 +23,12 @@ from riordan import (
     rna_series,
     x_series,
 )
-from riordan.matrixlog import generic_log_generator
 from conftest import (
     S,
     bell_log_oracle,
     composition_matrix_oracle,
     composition_sum_oracle,
+    generic_log_generator,
     rows_of,
     triangle_exp,
 )
@@ -318,9 +318,10 @@ def _same_series(got, want):
 
 
 class TestLogGeneratorOracle:
-    """The integer mat-vecs against the ring-arithmetic mat-vecs of
-    ``generic_log_generator`` on ``Fraction`` entries: same
-    coefficients, same order."""
+    """``log_generator`` on the strictly lower rows against the full
+    ring-arithmetic mat-vecs of ``generic_log_generator``, on
+    ``Fraction`` and on ``ParamPoly`` entries: same coefficients, same
+    order."""
 
     @given(
         data=st.data(),
@@ -357,6 +358,18 @@ class TestLogGeneratorOracle:
     )
     def test_order_48(self, make):
         g = make(48)
+        _same_series(log_generator(g), generic_log_generator(g))
+
+    @given(
+        order=st.integers(2, 10),
+        b=st.lists(G_ENTRIES, min_size=1, max_size=5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_b_composition_power(self, order, b):
+        # g^[phi] from the B-sequence phi B: ParamPoly coefficients
+        phi = ParamPoly.param()
+        g = from_b_sequence(Series([phi * c for c in b], len(b)), order).g
+        assert not g.is_rational()
         _same_series(log_generator(g), generic_log_generator(g))
 
     def test_truncated_window(self):

@@ -260,6 +260,31 @@ class TestParametricCoefficients:
         assert geometric(3).is_rational()
         assert not Series([1, ParamPoly.param()], 2).is_rational()
 
+    def test_ring_read_inside_the_window(self):
+        mixed = Series([1, F(1, 2), ParamPoly.param("t")], 5)
+        assert not mixed.is_rational()
+        assert [type(c) for c in mixed.coeffs] == [F, F] + [ParamPoly] * 3
+        assert mixed[4].symbol == "t"
+        # truncation drops the one ParamPoly coefficient
+        cut = Series([1, ParamPoly.param()], 1)
+        assert cut.is_rational()
+        assert [type(c) for c in cut.pad_zeros(3).coeffs] == [F] * 3
+
+    @pytest.mark.parametrize(
+        "reshape",
+        [
+            lambda s: s.pad_zeros(5),
+            lambda s: s.shift_up(2, extend=True),
+            lambda s: s.integral(),
+        ],
+        ids=["pad_zeros", "shift_up", "integral"],
+    )
+    def test_padding_is_the_symbols_zero(self, reshape):
+        s = Series([ParamPoly.param("t"), 1], 2)
+        pads = [c for c in reshape(s).coeffs if not c]
+        assert pads
+        assert all(isinstance(c, ParamPoly) and c.symbol == "t" for c in pads)
+
     def test_param_division(self):
         t = ParamPoly.param()
         s = Series([1, t], 5)
