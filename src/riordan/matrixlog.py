@@ -72,8 +72,9 @@ def log_generator(g: Series) -> Series:
         if rational:
             r = gcd(cden, *col)
             col, cden = [c // r for c in col], cden // r
-    inv = Fraction(1, cden)
-    return Series([c * inv for c in col[1:]], n - 1)
+    if rational:
+        return Series([Fraction(c, cden) for c in col[1:]], n - 1)
+    return Series([c * Fraction(1, cden) for c in col[1:]], n - 1)
 
 
 def bell_log(g: Series) -> Triangle:

@@ -34,7 +34,7 @@ def _normalize(c):
 def _ring_zero(*series):
     """The zero of the coefficient ring the series share."""
     for s in series:
-        if isinstance(s._zero, ParamPoly):
+        if not isinstance(s._zero, Fraction):
             return s._zero
     return ZERO
 
@@ -60,7 +60,7 @@ class Series:
         del cs[order:]
         zero = ZERO
         for c in cs:
-            if isinstance(c, ParamPoly):
+            if not isinstance(c, Fraction):  # a ParamPoly, by _normalize
                 zero = ParamPoly((), c.symbol)
                 break
         cs.extend([zero] * (order - len(cs)))

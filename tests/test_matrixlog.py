@@ -360,6 +360,11 @@ class TestLogGeneratorOracle:
         g = make(48)
         _same_series(log_generator(g), generic_log_generator(g))
 
+    def test_symbolic_unit_series_stops_at_first_power(self):
+        # the partial sum never leaves its integer zeros
+        g = Series([ParamPoly.const(1)], 9)
+        _same_series(log_generator(g), generic_log_generator(g))
+
     @given(
         order=st.integers(2, 10),
         b=st.lists(G_ENTRIES, min_size=1, max_size=5),
