@@ -1,7 +1,8 @@
 """The kernel module the series layer calls.
 
 ``kernels`` is :mod:`riordan._purekernels`, the one implementation of
-``mul``, ``div``, ``compose`` and ``revert``; ``backend_name`` names it.
+``mul``, ``div``, ``compose``, ``revert``, ``columns``, ``exp`` and
+``power``; ``backend_name`` names it.
 """
 
 from __future__ import annotations

@@ -14,6 +14,11 @@ identity, and its type picks the method:
   of the product, and the digits of the product are read back
   (Schoenhage 1982; D. Harvey, "Faster polynomial multiplication via
   multipoint Kronecker substitution", J. Symbolic Comput. 2009).
+  ``exp`` and ``power`` run one first-order recurrence, J. C. P.
+  Miller's formula for a power of a power series (Knuth, TAOCP Vol. 2,
+  section 4.7), and keep each output as its own reduced integer pair:
+  step k sums over the lcm of the denominators it reads, not over one
+  denominator for the whole series, which would grow as k! D^k.
 * Any other exact ring (``ParamPoly`` coefficients) runs on the generic
   loops of the same names (``generic_mul`` and so on), which need only
   ``+``, ``-``, ``*`` and division by an invertible element.  They are
@@ -143,6 +148,31 @@ def columns(a: list, n: int, beta=None, zero=ZERO) -> list:
     return cols[:n]
 
 
+def exp(a: list, n: int, zero=ZERO) -> list:
+    """Exponential of a series with ``a[0] == 0``, truncated to length ``n``:
+    w_0 = 1, w_k = (1/k) sum_(j=1..k) j a_j w_(k-j), from w' = a' w."""
+    if a[0]:
+        raise ValueError("exp requires constant term 0")
+    if type(zero) is not Fraction:
+        return generic_exp(a, n, zero)
+    x, dx = _integers(a[:n])
+    return _miller(x, dx, n, 1, 0, 1)
+
+
+def power(a: list, n: int, e, zero=ZERO) -> list:
+    """The power a^e of a series with ``a[0] == 1``, truncated to length
+    ``n``: w_0 = 1, w_k = (1/k) sum_(j=1..k) ((e+1) j - k) a_j w_(k-j),
+    from a w' = e a' w (J. C. P. Miller's formula, Knuth, TAOCP Vol. 2,
+    section 4.7).  A ``ParamPoly`` exponent needs a ``ParamPoly`` zero."""
+    if a[0] != 1:
+        raise ValueError("power requires constant term 1")
+    if type(zero) is not Fraction:
+        return generic_power(a, n, e, zero)
+    x, dx = _integers(a[:n])
+    p, q = e.numerator, e.denominator
+    return _miller(x, dx, n, p + q, q, q)
+
+
 # -- integer vectors ------------------------------------------------------
 
 
@@ -158,6 +188,32 @@ def _fractions(nums: list, den: int) -> list:
     if den == 1:
         return [Fraction(v) for v in nums]
     return [Fraction(v, den) for v in nums]
+
+
+def _miller(x: list, dx: int, n: int, u: int, v: int, q: int) -> list:
+    """w_0 = 1, w_k = sum_(j=1..k) (u j - v k) x_j w_(k-j) / (dx q k) for
+    an integer vector x over dx.  Each w_k is a reduced pair N_k / Q_k;
+    step k sums over the lcm L of the Q_(k-j) with x_j != 0, so
+    w_k = sum (u j - v k) x_j N_(k-j) (L / Q_(k-j)) / (L dx q k), one
+    gcd per step."""
+    support = [j for j in range(1, n) if x[j]]
+    nums, dens, out = [1], [1], [Fraction(1)]
+    top = 0  # support[:top] holds the j <= k
+    for k in range(1, n):
+        if top < len(support) and support[top] == k:
+            top += 1
+        js = support[:top]
+        den = lcm(*[dens[k - j] for j in js])
+        acc = 0
+        for j in js:
+            c = u * j - v * k
+            if c:
+                acc += c * x[j] * nums[k - j] * (den // dens[k - j])
+        w = Fraction(acc, den * dx * q * k)
+        nums.append(w.numerator)
+        dens.append(w.denominator)
+        out.append(w)
+    return out
 
 
 def _kronecker_mul(x: list, y: list, n: int) -> list:
@@ -275,3 +331,30 @@ def generic_columns(a: list, n: int, beta=None, zero=ZERO) -> list:
             w = [(beta + s) * c for s, c in enumerate(w)]
         cols.append([c / m for c in generic_mul(a, w, len(a), zero)])
     return cols[:n]
+
+
+def generic_exp(a: list, n: int, zero=ZERO) -> list:
+    """``exp`` in ring arithmetic."""
+    out = [zero + 1]
+    for k in range(1, n):
+        acc = zero
+        for j in range(1, k + 1):
+            aj = a[j]
+            if aj:
+                acc = acc + (j * aj) * out[k - j]
+        out.append(acc / k)
+    return out
+
+
+def generic_power(a: list, n: int, e, zero=ZERO) -> list:
+    """``power`` in ring arithmetic; ``e`` may be a ``ParamPoly``."""
+    e1 = e + 1
+    out = [zero + 1]
+    for k in range(1, n):
+        acc = zero
+        for j in range(1, k + 1):
+            aj = a[j]
+            if aj:
+                acc = acc + (e1 * j - k) * aj * out[k - j]
+        out.append(acc / k)
+    return out

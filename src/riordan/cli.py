@@ -220,6 +220,9 @@ def _cmd_oeis_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser.  ``main`` builds it once, on its first call;
+    each command's ``func`` looks its module-global ``_cmd_*`` up when it
+    runs, so a replaced ``_cmd_*`` is still the one called."""
     parser = argparse.ArgumentParser(
         prog="riordan",
         description="Exact Riordan-matrix calculator: triangles, matrix "
@@ -236,14 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=_positive, default=8)
     p.add_argument("--exponential", action="store_true")
     _add_common(p)
-    p.set_defaults(func=_cmd_matrix)
+    p.set_defaults(func=lambda args: _cmd_matrix(args))
 
     p = sub.add_parser("power", help="series of the matrix power (g, xg)^phi")
     p.add_argument("--g", required=True)
     p.add_argument("--phi", type=_rational, default=Fraction(1))
     p.add_argument("--order", type=_positive, default=12)
     _add_common(p)
-    p.set_defaults(func=_cmd_power)
+    p.set_defaults(func=lambda args: _cmd_power(args))
 
     p = sub.add_parser(
         "comp-poly", help="composition-polynomial matrix L = log-based rows"
@@ -251,13 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True)
     p.add_argument("--rows", type=_positive, default=11)
     _add_common(p)
-    p.set_defaults(func=_cmd_comp_poly)
+    p.set_defaults(func=lambda args: _cmd_comp_poly(args))
 
     p = sub.add_parser("bcomp", help="B-composition matrix <B>")
     p.add_argument("--b", required=True, help="B-function expression")
     p.add_argument("--rows", type=_positive, default=11)
     _add_common(p)
-    p.set_defaults(func=_cmd_bcomp)
+    p.set_defaults(func=lambda args: _cmd_bcomp(args))
 
     p = sub.add_parser(
         "bexpand", help="[x^n] g^phi as a polynomial in phi via B-sequence"
@@ -266,20 +269,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_nonnegative, required=True)
     p.add_argument("--symbol", default="phi")
     _add_common(p)
-    p.set_defaults(func=_cmd_bexpand)
+    p.set_defaults(func=lambda args: _cmd_bexpand(args))
 
     p = sub.add_parser("aseq", help="A-sequence of (1, xg)")
     p.add_argument("--g", required=True)
     p.add_argument("--order", type=_positive, default=12)
     _add_common(p)
-    p.set_defaults(func=_cmd_aseq)
+    p.set_defaults(func=lambda args: _cmd_aseq(args))
 
     p = sub.add_parser("bseq", help="B-sequence of a pseudo-involution")
     p.add_argument("--f", default="1")
     p.add_argument("--g", required=True)
     p.add_argument("--order", type=_positive, default=12)
     _add_common(p)
-    p.set_defaults(func=_cmd_bseq)
+    p.set_defaults(func=lambda args: _cmd_bseq(args))
 
     p = sub.add_parser(
         "sqrt-factor", help="factor (1, xg) = (1, x sqrt(g))(1, xh)"
@@ -287,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True)
     p.add_argument("--order", type=_positive, default=12)
     _add_common(p)
-    p.set_defaults(func=_cmd_sqrt_factor)
+    p.set_defaults(func=lambda args: _cmd_sqrt_factor(args))
 
     p = sub.add_parser("diag", help="diagonal of a Riordan triangle")
     p.add_argument("--f", default="1")
@@ -297,14 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=("down", "up"), default="down")
     p.add_argument("--index", type=int, default=0)
     _add_common(p)
-    p.set_defaults(func=_cmd_diag)
+    p.set_defaults(func=lambda args: _cmd_diag(args))
 
     p = sub.add_parser("check", help="run named invariant suites")
     p.add_argument("--suite", choices=sorted(SUITES))
     p.add_argument("--all", action="store_true")
     p.add_argument("--order", type=_positive, default=12)
     _add_common(p)
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(func=lambda args: _cmd_check(args))
 
     p = sub.add_parser(
         "oeis-compare", help="compare a sequence against a b-file"
@@ -318,14 +321,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_positive, default=16)
     p.add_argument("--min-match", type=_positive, default=8)
     _add_common(p)
-    p.set_defaults(func=_cmd_oeis_compare)
+    p.set_defaults(func=lambda args: _cmd_oeis_compare(args))
 
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (

@@ -6,10 +6,13 @@ zero).  Binary operations truncate to the shorter operand; asking for a
 coefficient past the order is an error rather than a silent zero.
 
 Coefficients are ``Fraction`` or :class:`~riordan.rings.ParamPoly`.
-Products, quotients, composition and reversion make one kernel call
-each, passing the zero of the coefficient ring: the kernels run
-rational series on integers and polynomial coefficients on generic
-loops (see :mod:`riordan._purekernels`).
+Products, quotients, composition, reversion, ``exp``, ``sqrt`` and
+``pow_rat`` make one kernel call each, passing the zero of the
+coefficient ring: the kernels run rational series on integers and
+polynomial coefficients on generic loops (see
+:mod:`riordan._purekernels`).  ``sqrt`` and ``pow_rat`` are the
+``power`` kernel, Miller's recurrence a w' = e a' w (Knuth, TAOCP
+Vol. 2, section 4.7), so a power needs no log or exp.
 """
 
 from __future__ import annotations
@@ -262,17 +265,9 @@ class Series:
     # -- analytic-style operations (exact recurrences) ------------------
 
     def sqrt(self) -> "Series":
-        """Square root of a series with constant term exactly 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("sqrt requires constant term 1")
-        one = self._one()
-        out = [one]
-        for k in range(1, self.order):
-            acc = self.coeffs[k]
-            for i in range(1, k):
-                acc = acc - out[i] * out[k - i]
-            out.append(acc / 2)
-        return Series(out, self.order)
+        """Square root of a series with constant term exactly 1: the
+        ``power`` kernel at e = 1/2."""
+        return self._power(Fraction(1, 2), "sqrt")
 
     def log(self) -> "Series":
         """Logarithm of a series with constant term exactly 1."""
@@ -283,24 +278,25 @@ class Series:
         return (self.derivative() / self.truncate(self.order - 1)).integral()
 
     def exp(self) -> "Series":
-        """Exponential of a series with constant term exactly 0."""
-        if self.coeffs[0] != 0:
-            raise ValueError("exp requires constant term 0")
-        one = self._one()
-        out = [one]
-        for k in range(1, self.order):
-            acc = self._zero
-            for j in range(1, k + 1):
-                aj = self.coeffs[j]
-                if aj:
-                    acc = acc + (j * aj) * out[k - j]
-            out.append(acc / k)
-        return Series(out, self.order)
+        """Exponential of a series with constant term exactly 0: the
+        ``exp`` kernel."""
+        n = self.order
+        return Series(kernels.exp(list(self.coeffs), n, self._zero), n)
 
     def pow_rat(self, e) -> "Series":
-        """Power with rational exponent; constant term must be 1."""
-        e = _normalize(e)
-        return (self.log() * e).exp()
+        """Power with a rational (or ``ParamPoly``) exponent; constant term
+        must be 1.  One ``power`` kernel call, by J. C. P. Miller's
+        recurrence a w' = e a' w, with no log or exp."""
+        return self._power(_normalize(e), "pow_rat")
+
+    def _power(self, e, name: str) -> "Series":
+        if self.coeffs[0] != 1:
+            raise ValueError(f"{name} requires constant term 1")
+        zero = self._zero
+        if isinstance(e, ParamPoly) and isinstance(zero, Fraction):
+            zero = ParamPoly((), e.symbol)
+        n = self.order
+        return Series(kernels.power(list(self.coeffs), n, e, zero), n)
 
     def pow_param(self, symbol: str = "phi") -> "Series":
         """Formal power: coefficients become polynomials in a parameter.

@@ -89,6 +89,48 @@ def generic_log_generator(g: Series) -> Series:
     return Series(col[1:], n - 1)
 
 
+def sqrt_oracle(s: Series) -> Series:
+    """The square root by out_k = (s_k - sum_(0<i<k) out_i out_(k-i)) / 2,
+    in ring arithmetic.  Reference for ``Series.sqrt``, which runs the
+    ``power`` kernel at e = 1/2."""
+    if s.coeffs[0] != 1:
+        raise ValueError("sqrt requires constant term 1")
+    one = s._one()
+    out = [one]
+    for k in range(1, s.order):
+        acc = s.coeffs[k]
+        for i in range(1, k):
+            acc = acc - out[i] * out[k - i]
+        out.append(acc / 2)
+    return Series(out, s.order)
+
+
+def exp_oracle(s: Series) -> Series:
+    """The exponential by out_k = (1/k) sum_(j=1..k) j s_j out_(k-j), in
+    ring arithmetic.  Reference for the ``exp`` kernel, which runs the
+    same recurrence on integers for rational s."""
+    if s.coeffs[0] != 0:
+        raise ValueError("exp requires constant term 0")
+    one = s._one()
+    out = [one]
+    for k in range(1, s.order):
+        acc = s._zero
+        for j in range(1, k + 1):
+            aj = s.coeffs[j]
+            if aj:
+                acc = acc + (j * aj) * out[k - j]
+        out.append(acc / k)
+    return Series(out, s.order)
+
+
+def pow_rat_oracle(s: Series, e) -> Series:
+    """s^e as exp(e log s), through ``exp_oracle``.  Reference for
+    ``Series.pow_rat``, which runs the ``power`` kernel (Miller's
+    recurrence) with no log or exp."""
+    e = Fraction(e) if isinstance(e, int) else e
+    return exp_oracle(s.log() * e)
+
+
 def _scaled_powers(tri: Triangle, j: int = 0) -> list:
     """tri^p e_j / p! for p = 0 .. n-1-j, for strictly lower-triangular
     tri (higher powers vanish), one mat-vec product each."""

@@ -11,7 +11,13 @@ from riordan import ParamPoly, RiordanMatrix, Series, geometric
 from riordan import _purekernels as kernels
 from riordan._backend import backend_name
 
-from conftest import composition_columns_oracle, power_columns_oracle
+from conftest import (
+    composition_columns_oracle,
+    exp_oracle,
+    pow_rat_oracle,
+    power_columns_oracle,
+    sqrt_oracle,
+)
 
 F = Fraction
 PZERO = ParamPoly(())
@@ -235,3 +241,91 @@ class TestColumns:
             got = kernels.columns([PZERO] + A_PARAM, 5, beta, PZERO)
             want = composition_columns_oracle(b, 5, beta)
         assert exact(got) == exact(c.coeffs for c in want)
+
+
+# denominator of coefficient k, by family
+PRIMES = (2, 3, 5, 7, 11, 13)
+DENOMINATORS = {
+    "integer": lambda k: 1,
+    "bounded": lambda k: 1 + k % 16,
+    "harmonic": lambda k: k,
+    "dyadic": lambda k: 2**k,
+    "mixed-prime": lambda k: PRIMES[k % 6] * PRIMES[k * k % 6] ** (k % 3),
+}
+EXPONENTS = st.one_of(
+    st.sampled_from([F(0), F(1), F(1, 2), F(-1, 2), F(2, 3), F(-3), F(7, 5)]),
+    st.fractions(min_value=-6, max_value=6, max_denominator=9),
+)
+
+
+@st.composite
+def graded(draw, head, max_len=40):
+    """A length from 1 to ``max_len`` and a series with constant term
+    ``head`` whose coefficient k is an integer from -9 to 9 (zero in about
+    a third of the draws) over the denominator of a family drawn from
+    ``DENOMINATORS``."""
+    n = draw(st.integers(1, max_len))
+    den = DENOMINATORS[draw(st.sampled_from(sorted(DENOMINATORS)))]
+    nums = draw(coeffs(n - 1, st.one_of(st.integers(-9, 9), st.just(0))))
+    return n, [F(head)] + [F(c, den(k)) for k, c in enumerate(nums, 1)]
+
+
+class TestMillerKernels:
+    """The ``exp`` and ``power`` kernels against the ring loops they
+    replaced (``conftest``): exp, sqrt, and pow_rat as exp(e log)."""
+
+    @given(graded(0))
+    @settings(max_examples=60, deadline=None)
+    def test_exp_against_oracle(self, case):
+        n, a = case
+        assert exact([kernels.exp(a, n)]) == exact([exp_oracle(Series(a)).coeffs])
+
+    @given(graded(1), EXPONENTS)
+    @settings(max_examples=60, deadline=None)
+    def test_power_against_oracle(self, case, e):
+        n, a = case
+        want = pow_rat_oracle(Series(a), e).coeffs
+        assert exact([kernels.power(a, n, e)]) == exact([want])
+
+    @given(graded(1))
+    @settings(max_examples=40, deadline=None)
+    def test_half_power_against_sqrt_oracle(self, case):
+        n, a = case
+        want = sqrt_oracle(Series(a)).coeffs
+        assert exact([kernels.power(a, n, F(1, 2))]) == exact([want])
+
+    @given(st.integers(1, 8), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_param_coefficients(self, n, data):
+        # ParamPoly coefficients of degree up to 2, zero in some draws
+        poly = st.lists(small, max_size=3).map(ParamPoly)
+        tail = data.draw(st.lists(poly, min_size=n - 1, max_size=n - 1))
+        x = [PZERO] + tail
+        want = exp_oracle(Series(x)).coeffs
+        assert exact([kernels.exp(x, n, PZERO)]) == exact([want])
+        a, e = [ParamPoly((1,))] + tail, data.draw(EXPONENTS)
+        want = pow_rat_oracle(Series(a), e).coeffs
+        assert exact([kernels.power(a, n, e, PZERO)]) == exact([want])
+
+    @given(graded(1, max_len=12))
+    @settings(max_examples=30, deadline=None)
+    def test_param_exponent(self, case):
+        n, a = case
+        phi = ParamPoly.param()
+        want = pow_rat_oracle(Series(a), phi).coeffs
+        assert exact([kernels.power(a, n, phi, PZERO)]) == exact([want])
+        assert exact([Series(a).pow_rat(phi).coeffs]) == exact([want])
+
+    def test_zero_exponent_and_order_one(self):
+        a = [F(1), F(3, 2), F(0), F(-5, 7)]
+        assert kernels.power(a, 4, F(0)) == [1, 0, 0, 0]
+        assert exact([kernels.power(a[:1], 1, F(2, 3))]) == exact([[F(1)]])
+        assert exact([kernels.exp([F(0)], 1)]) == exact([[F(1)]])
+        assert exact([kernels.exp([PZERO], 1, PZERO)]) == exact([[ParamPoly((1,))]])
+
+    def test_guards(self):
+        with pytest.raises(ValueError, match="exp requires constant term 0"):
+            kernels.exp([F(1), F(1)], 2)
+        with pytest.raises(ValueError, match="power requires constant term 1"):
+            kernels.power([F(2), F(1)], 2, F(1, 2))
+

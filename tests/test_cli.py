@@ -1,15 +1,19 @@
 """End-to-end tests for the command-line interface (in-process)."""
 
 import json
+import os
+import subprocess
 import sys
 import time
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import RNA_BCOMP_ROWS, RNA_MATRIX_ROWS, T
 from riordan import PARTITION_N_LIMIT
+from riordan import cli
 from riordan.cli import MATRIX_LOG_N_LIMIT, main
 from riordan.exprparse import EXPR_EXPONENT_LIMIT
 from riordan.exprparse import EvalError, ParseError, eval_expr, parse_expr
@@ -424,6 +428,35 @@ class TestOeisCompare:
 
 POW_TOO_LONG = "(2^1000)^1000 has a coefficient of more than 4300 digits"
 PRINT_TOO_LONG = "a coefficient of about 4516 digits is over the 4300-digit output limit"
+
+
+class TestParserCache:
+    def test_not_built_at_import(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", "import riordan.cli as c; print(c._parser)"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.stdout == "None\n", proc.stderr
+
+    def test_patched_command_is_reached(self, capsys, monkeypatch):
+        # the parser is built once, but each call looks the command up anew
+        assert run(capsys, "power", "--g", "rna", "--order", "3")[0] == 0
+        calls = []
+        monkeypatch.setattr(cli, "_cmd_power", lambda args: calls.append(args.order) or 0)
+        assert run(capsys, "power", "--g", "rna", "--order", "4") == (0, "", "")
+        assert calls == [4]
+
+    def test_errors_after_first_call(self, capsys):
+        assert run(capsys, "matrix", "--g", "x", "--rows", "2")[0] == 0
+        assert run(capsys, "matrix", "--g", "1+")[0] == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["matrix", "--rows", "2"])
+        assert exc.value.code == 2
+        assert run(capsys, "matrix", "--g", "x", "--rows", "2")[0] == 0
 
 
 class TestErrorHandling:

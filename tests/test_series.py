@@ -16,7 +16,7 @@ from riordan import (
     x_series,
     zeros,
 )
-from conftest import S, catalan_oracle, pow_param_oracle
+from conftest import S, catalan_oracle, pow_param_oracle, pow_rat_oracle
 
 F = Fraction
 
@@ -224,10 +224,21 @@ class TestAnalyticOracles:
             geometric(3).exp()
 
     def test_pow_rat(self):
-        # (1+x)^(1/2) agrees with sqrt; (1-4x)^(-1/2) is central binomials.
-        assert Series([1, 1], 6).pow_rat(F(1, 2)) == Series([1, 1], 6).sqrt()
+        # (1+x)^(1/2) agrees with exp(log(1+x)/2); (1-4x)^(-1/2) is
+        # central binomials.
+        s = Series([1, 1], 6)
+        assert s.pow_rat(F(1, 2)) == pow_rat_oracle(s, F(1, 2))
         central = Series([1, -4], 6).pow_rat(F(-1, 2))
         assert list(central.coeffs) == [1, 2, 6, 20, 70, 252]
+
+    def test_pow_rat_names_itself(self):
+        with pytest.raises(ValueError, match="^pow_rat requires constant term 1$"):
+            Series([2, 1], 4).pow_rat(F(1, 2))
+
+    def test_pow_rat_param_exponent(self):
+        # a symbolic exponent on a rational series gives g^phi
+        g = geometric(6)
+        assert g.pow_rat(ParamPoly.param()) == g.pow_param()
 
     def test_pow_param_specializes(self):
         g = geometric(7)
