@@ -18,7 +18,10 @@ identity, and its type picks the method:
   Miller's formula for a power of a power series (Knuth, TAOCP Vol. 2,
   section 4.7), and keep each output as its own reduced integer pair:
   step k sums over the lcm of the denominators it reads, not over one
-  denominator for the whole series, which would grow as k! D^k.
+  denominator for the whole series, which would grow as k! D^k.  A
+  ``ParamPoly`` exponent on a rational series runs the same recurrence
+  on integer polynomials in the parameter, each packed into one int of
+  signed digits with the routines of the Kronecker product.
 * Any other exact ring (``ParamPoly`` coefficients) runs on the generic
   loops of the same names (``generic_mul`` and so on), which need only
   ``+``, ``-``, ``*`` and division by an invertible element.  They are
@@ -30,6 +33,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul as _times
+
+from .rings import ParamPoly
 
 ZERO = Fraction(0)
 
@@ -130,17 +135,26 @@ def columns(a: list, n: int, beta=None, zero=ZERO) -> list:
     """The first ``n`` columns of c_0 = 1, c_m = a (w c_(m-1)) / m, as long
     as ``a``: w_s = 1 without ``beta`` (c_m = a^m / m!), w_s = beta + s with
     it (a = x b gives c_m = x b ((beta + xD) c_(m-1)) / m).  Rational
-    columns stay integers over one denominator, one gcd per column."""
+    columns stay integers over one denominator, one gcd per column; for
+    a of valuation v, column m vanishes below row m v, so only its tail
+    is multiplied."""
     if type(zero) is not Fraction:
         return generic_columns(a, n, beta, zero)
     x, dx = _integers(a)
+    size = len(a)
+    v = next((i for i, c in enumerate(x) if c), size)
     p, q = (1, 1) if beta is None else (beta.numerator, beta.denominator)
-    nums, den = [1] + [0] * (len(a) - 1), 1
+    nums, den = [1] + [0] * (size - 1), 1
     cols = [_fractions(nums, den)]
     for m in range(1, n):
-        if beta is not None:
-            nums = [(p + s * q) * c for s, c in enumerate(nums)]
-        nums = _kronecker_mul(x, nums, len(a))
+        lo = m * v
+        if lo >= size:
+            nums = [0] * size
+        else:
+            tail = nums[lo - v:]
+            if beta is not None:
+                tail = [(p + s * q) * c for s, c in enumerate(tail, lo - v)]
+            nums = [0] * lo + _kronecker_mul(x[v:], tail, size - lo)
         den *= dx * q * m
         r = gcd(den, *nums)
         nums, den = [c // r for c in nums], den // r
@@ -163,12 +177,18 @@ def power(a: list, n: int, e, zero=ZERO) -> list:
     """The power a^e of a series with ``a[0] == 1``, truncated to length
     ``n``: w_0 = 1, w_k = (1/k) sum_(j=1..k) ((e+1) j - k) a_j w_(k-j),
     from a w' = e a' w (J. C. P. Miller's formula, Knuth, TAOCP Vol. 2,
-    section 4.7).  A ``ParamPoly`` exponent needs a ``ParamPoly`` zero."""
+    section 4.7).  ``e`` is rational or a ``ParamPoly``; with a
+    ``ParamPoly`` exponent the outputs are ``ParamPoly`` in its symbol,
+    and a rational series still runs on integers."""
     if a[0] != 1:
         raise ValueError("power requires constant term 1")
     if type(zero) is not Fraction:
         return generic_power(a, n, e, zero)
     x, dx = _integers(a[:n])
+    if isinstance(e, ParamPoly):
+        nums, q = _integers(e.coeffs or [ZERO])
+        nums[0] += q
+        return _miller(x, dx, n, nums, q, q, e.symbol)
     p, q = e.numerator, e.denominator
     return _miller(x, dx, n, p + q, q, q)
 
@@ -190,29 +210,74 @@ def _fractions(nums: list, den: int) -> list:
     return [Fraction(v, den) for v in nums]
 
 
-def _miller(x: list, dx: int, n: int, u: int, v: int, q: int) -> list:
+def _miller(x: list, dx: int, n: int, u, v: int, q: int, symbol=None) -> list:
     """w_0 = 1, w_k = sum_(j=1..k) (u j - v k) x_j w_(k-j) / (dx q k) for
     an integer vector x over dx.  Each w_k is a reduced pair N_k / Q_k;
     step k sums over the lcm L of the Q_(k-j) with x_j != 0, so
     w_k = sum (u j - v k) x_j N_(k-j) (L / Q_(k-j)) / (L dx q k), one
-    gcd per step."""
+    gcd per step.
+
+    With a ``symbol``, u is the integer coefficient list of a polynomial
+    in the parameter, and so is each N_k, held packed as the int
+    sum_i N_k,i 2^(B i) of signed digits (``_pack``): the sum of step k
+    is u S_1 - v k S_0 with S_t = sum j^t x_j N_(k-j) (L / Q_(k-j)), one
+    scalar product per j.  B comes from a bound on the digits of step
+    k's sum; when the bound outgrows it, B widens and the stored N are
+    repacked."""
     support = [j for j in range(1, n) if x[j]]
-    nums, dens, out = [1], [1], [Fraction(1)]
+    nums, dens = [1], [1]
+    if symbol is None:
+        out = [Fraction(1)]
+    else:
+        deg = len(u) - 1
+        norm = sum(map(abs, u)) + v
+        bits = [1]  # bit length of the largest digit of each N_k
+        size = _digit_size(norm.bit_length())  # B = 8 size bits per digit
+        half = 1 << (8 * size - 1)
+        packed_u = _pack(u, size, half)
+        out = [ParamPoly((1,), symbol)]
     top = 0  # support[:top] holds the j <= k
     for k in range(1, n):
         if top < len(support) and support[top] == k:
             top += 1
         js = support[:top]
         den = lcm(*[dens[k - j] for j in js])
-        acc = 0
-        for j in js:
-            c = u * j - v * k
-            if c:
-                acc += c * x[j] * nums[k - j] * (den // dens[k - j])
-        w = Fraction(acc, den * dx * q * k)
-        nums.append(w.numerator)
-        dens.append(w.denominator)
-        out.append(w)
+        if symbol is None:
+            acc = 0
+            for j in js:
+                c = u * j - v * k
+                if c:
+                    acc += c * x[j] * nums[k - j] * (den // dens[k - j])
+            w = Fraction(acc, den * dx * q * k)
+            nums.append(w.numerator)
+            dens.append(w.denominator)
+            out.append(w)
+            continue
+        cs = [x[j] * (den // dens[k - j]) for j in js]
+        need = max([c.bit_length() + bits[k - j] for c, j in zip(cs, js)], default=0)
+        need += (len(js) * k * norm).bit_length()
+        if _digit_size(need) > size:
+            old, old_half = size, half
+            size = _digit_size(need + need // 2)
+            half = 1 << (8 * size - 1)
+            nums = [
+                _pack(_unpack(p, i * deg + 1, old, old_half), size, half)
+                for i, p in enumerate(nums)
+            ]
+            packed_u = _pack(u, size, half)
+        s0 = s1 = 0
+        for c, j in zip(cs, js):
+            t = c * nums[k - j]
+            s0 += t
+            s1 += j * t
+        acc = packed_u * s1 - v * k * s0
+        digits = _unpack(acc, k * deg + 1, size, half)
+        d = den * dx * q * k
+        r = gcd(d, *digits)
+        nums.append(acc // r)
+        dens.append(d // r)
+        bits.append((max(map(abs, digits)) // r).bit_length())
+        out.append(ParamPoly([Fraction(c, d) for c in digits], symbol))
     return out
 
 
@@ -225,24 +290,34 @@ def _kronecker_mul(x: list, y: list, n: int) -> list:
         y.pop()
     if not x or not y:
         return [0] * n
-    # digits of ``size`` bytes hold any |coefficient| <= bound below half
     bound = min(len(x), len(y)) * max(map(abs, x)) * max(map(abs, y))
-    size = bound.bit_length() // 8 + 1
+    size = _digit_size(bound.bit_length())
     half = 1 << (8 * size - 1)
-    product = _pack(x, size, half) * _pack(y, size, half)
-    # biased by half, every digit is in [0, 2 half), so no digit borrows
-    raw = (product + _bias(n, size, half)) & ((1 << (8 * size * n)) - 1)
-    raw = raw.to_bytes(size * n, "little")
-    return [
-        int.from_bytes(raw[i:i + size], "little") - half
-        for i in range(0, size * n, size)
-    ]
+    return _unpack(_pack(x, size, half) * _pack(y, size, half), n, size, half)
 
 
 def _pack(v: list, size: int, half: int) -> int:
     """sum_i v[i] 256^(size i) for |v[i]| < half."""
     raw = b"".join([(c + half).to_bytes(size, "little") for c in v])
     return int.from_bytes(raw, "little") - _bias(len(v), size, half)
+
+
+def _digit_size(bits: int) -> int:
+    """Bytes per digit for digits below 2^bits in absolute value: the
+    least ``size`` with half = 2^(8 size - 1) >= 2^bits."""
+    return bits // 8 + 1
+
+
+def _unpack(v: int, count: int, size: int, half: int) -> list:
+    """The first ``count`` digits d_i of v = sum_i d_i 256^(size i), for
+    |d_i| < half."""
+    # biased by half, every digit is in [0, 2 half), so no digit borrows
+    raw = (v + _bias(count, size, half)) & ((1 << (8 * size * count)) - 1)
+    raw = raw.to_bytes(size * count, "little")
+    return [
+        int.from_bytes(raw[i:i + size], "little") - half
+        for i in range(0, size * count, size)
+    ]
 
 
 def _bias(count: int, size: int, half: int) -> int:

@@ -388,10 +388,12 @@ def dissection_matrix(order: int) -> Triangle:
 
 def convolution_rows(b: Series, order: int) -> Triangle:
     """Triangle of convolution polynomials: row n holds the coefficients
-    of s_n(t) with B^t = sum s_n(t) x^n, so column m is (log B)^m / m!."""
+    of s_n(t) with B^t = sum s_n(t) x^n (so column m is (log B)^m / m!),
+    read off the parametric power ``pow_param``."""
     if b[0] != 1:
         raise ValueError("convolution rows need B with constant term 1")
-    return Triangle.from_columns(_power_columns(b.pad_zeros(order).log(), order))
+    rows = [c.coeffs for c in b.pad_zeros(order).pow_param("t").coeffs]
+    return Triangle([r + (ZERO,) * (n + 1 - len(r)) for n, r in enumerate(rows)])
 
 
 def _column_sums(b: Series, n: int) -> dict[int, Fraction]:

@@ -6,13 +6,14 @@ zero).  Binary operations truncate to the shorter operand; asking for a
 coefficient past the order is an error rather than a silent zero.
 
 Coefficients are ``Fraction`` or :class:`~riordan.rings.ParamPoly`.
-Products, quotients, composition, reversion, ``exp``, ``sqrt`` and
-``pow_rat`` make one kernel call each, passing the zero of the
-coefficient ring: the kernels run rational series on integers and
-polynomial coefficients on generic loops (see
-:mod:`riordan._purekernels`).  ``sqrt`` and ``pow_rat`` are the
-``power`` kernel, Miller's recurrence a w' = e a' w (Knuth, TAOCP
-Vol. 2, section 4.7), so a power needs no log or exp.
+Products, quotients, composition, reversion, ``exp``, ``sqrt``,
+``pow_rat`` and ``pow_param`` make one kernel call each, passing the
+zero of the coefficient ring: the kernels run rational series on
+integers and polynomial coefficients on generic loops (see
+:mod:`riordan._purekernels`).  ``sqrt``, ``pow_rat`` and ``pow_param``
+are the ``power`` kernel, Miller's recurrence a w' = e a' w (Knuth,
+TAOCP Vol. 2, section 4.7), so a power needs no log or exp, even with
+a symbolic exponent.
 """
 
 from __future__ import annotations
@@ -286,31 +287,27 @@ class Series:
     def pow_rat(self, e) -> "Series":
         """Power with a rational (or ``ParamPoly``) exponent; constant term
         must be 1.  One ``power`` kernel call, by J. C. P. Miller's
-        recurrence a w' = e a' w, with no log or exp."""
+        recurrence a w' = e a' w, with no log or exp; a ``ParamPoly``
+        exponent gives ``ParamPoly`` coefficients in its symbol."""
         return self._power(_normalize(e), "pow_rat")
 
     def _power(self, e, name: str) -> "Series":
         if self.coeffs[0] != 1:
             raise ValueError(f"{name} requires constant term 1")
-        zero = self._zero
-        if isinstance(e, ParamPoly) and isinstance(zero, Fraction):
-            zero = ParamPoly((), e.symbol)
         n = self.order
-        return Series(kernels.power(list(self.coeffs), n, e, zero), n)
+        return Series(kernels.power(list(self.coeffs), n, e, self._zero), n)
 
     def pow_param(self, symbol: str = "phi") -> "Series":
         """Formal power: coefficients become polynomials in a parameter.
 
-        [phi^m x^k] self^phi = [x^k] log(self)^m / m!, so coefficient k
-        reads row k off the columns of :func:`_power_columns` (column m
-        vanishes above row m, and ``ParamPoly`` drops those zeros).
-        Specializing the parameter to any rational value gives the same
-        result as :meth:`pow_rat` with that exponent.
+        The ``power`` kernel with the bare parameter as exponent, which
+        runs Miller's recurrence on integer polynomials in it, with no
+        log.  Specializing the parameter to any rational value gives the
+        same result as :meth:`pow_rat` with that exponent.
         """
         if not self.is_rational():
             raise ValueError("pow_param needs purely rational coefficients")
-        rows = zip(*_power_columns(self.log(), self.order))
-        return Series([ParamPoly(r, symbol) for r in rows], self.order)
+        return self._power(ParamPoly.param(symbol), "pow_param")
 
     # -- comparison and display -----------------------------------------
 
@@ -344,8 +341,8 @@ class Series:
 
 def _power_columns(a: Series, n: int, beta=None) -> list[list]:
     """The ``columns`` kernel on a in a's ring, n columns to the order of
-    a.  Without beta, c_m = a^m / m!: [x^k] c_m is [phi^m x^k] g^phi for
-    a = log g, and s_j(m) / m! with s_j(m) = [x^j] B^m for a = B."""
+    a.  Without beta, c_m = a^m / m!: [x^j] c_m is s_j(m) / m! with
+    s_j(m) = [x^j] B^m for a = B."""
     return kernels.columns(list(a.coeffs), n, beta, _ring_zero(a))
 
 

@@ -27,6 +27,7 @@ from riordan._purekernels import _integers
 from riordan.bexpansion import _b_coeffs, _odd_mults_cached
 from riordan.core import _as_series
 from riordan.matrixlog import bell_log
+from riordan.series import _power_columns
 from riordan.rings import ONE, ZERO
 
 
@@ -151,8 +152,8 @@ def composition_matrix_oracle(g):
 def pow_param_oracle(s, symbol="phi"):
     """The formal power s^phi as exp(phi log s), the ``Series.exp``
     recurrence run on ``ParamPoly`` coefficients.  Reference for
-    ``Series.pow_param``, which reads the coefficients of phi off the
-    series (log s)^m / m! instead."""
+    ``Series.pow_param``, which runs the ``power`` kernel (Miller's
+    recurrence) on integer polynomials in phi instead."""
     if not s.is_rational():
         raise ValueError("pow_param needs purely rational coefficients")
     t = ParamPoly.param(symbol)
@@ -160,10 +161,22 @@ def pow_param_oracle(s, symbol="phi"):
     return scaled.exp()
 
 
+def pow_param_columns_oracle(s, symbol="phi"):
+    """The formal power s^phi read row by row off the columns
+    (log s)^m / m! of the ``columns`` kernel: [phi^m x^k] s^phi is
+    [x^k] (log s)^m / m!.  Reference for ``Series.pow_param``, which
+    runs the ``power`` kernel with the bare parameter as exponent."""
+    if not s.is_rational():
+        raise ValueError("pow_param needs purely rational coefficients")
+    rows = zip(*_power_columns(s.log(), s.order))
+    return Series([ParamPoly(r, symbol) for r in rows], s.order)
+
+
 def convolution_rows_oracle(b, order):
     """Rows of B^t = sum s_n(t) x^n unpacked from the parametric power
     (``pow_param_oracle``) and padded with zeros.  Reference for
-    ``convolution_rows``, which takes the columns (log B)^m / m!."""
+    ``convolution_rows``, which reads the rows off ``Series.pow_param``
+    (Miller's recurrence)."""
     if b[0] != 1:
         raise ValueError("convolution rows need B with constant term 1")
     p = pow_param_oracle(b.pad_zeros(order), "t")

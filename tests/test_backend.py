@@ -14,6 +14,8 @@ from riordan._backend import backend_name
 from conftest import (
     composition_columns_oracle,
     exp_oracle,
+    pow_param_columns_oracle,
+    pow_param_oracle,
     pow_rat_oracle,
     power_columns_oracle,
     sqrt_oracle,
@@ -220,6 +222,18 @@ class TestColumns:
         want = power_columns_oracle(Series(a), max(n, 1))[:n]
         assert exact(kernels.columns(a, n)) == exact(c.coeffs for c in want)
 
+    @given(column_operands(), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_zero_heads(self, case, v):
+        # a of valuation >= v: column m vanishes below row m v, and only
+        # its tail is multiplied
+        a, n, beta = case
+        a = ([F(0)] * v + a)[:len(a)]
+        got = kernels.columns(a, n, beta)
+        assert exact(got) == exact(kernels.generic_columns(a, n, beta))
+        want = power_columns_oracle(Series(a), max(n, 1))[:n]
+        assert exact(kernels.columns(a, n)) == exact(c.coeffs for c in want)
+
     @given(column_operands(), st.data())
     @settings(max_examples=40, deadline=None)
     def test_composition_against_oracle(self, case, data):
@@ -329,3 +343,94 @@ class TestMillerKernels:
         with pytest.raises(ValueError, match="power requires constant term 1"):
             kernels.power([F(2), F(1)], 2, F(1, 2))
 
+
+PHI = ParamPoly.param()
+# the bare parameter, an affine and a quadratic exponent
+NAMED_PARAM_EXPONENTS = [PHI, ParamPoly((1, F(1, 2))), ParamPoly((0, 0, 1))]
+PARAM_EXPONENTS = st.one_of(
+    st.sampled_from(
+        NAMED_PARAM_EXPONENTS
+        + [ParamPoly(()), ParamPoly((F(-2, 3),))]
+        + [ParamPoly((F(1, 3), -2, F(5, 7)), "t")]
+    ),
+    st.builds(ParamPoly, st.lists(small, max_size=3), st.sampled_from(["phi", "t"])),
+)
+
+
+def generic_param_power(a, n, e):
+    return kernels.generic_power(a, n, e, ParamPoly((), e.symbol))
+
+
+class TestParamExponent:
+    """The ``power`` kernel with a ``ParamPoly`` exponent on a rational
+    series, which runs on packed integer polynomials, against
+    ``generic_power`` on a ``ParamPoly`` zero; ``Series.pow_param``
+    against both of its oracles (``conftest``)."""
+
+    @given(graded(1), PARAM_EXPONENTS)
+    @settings(max_examples=80, deadline=None)
+    def test_against_generic_power(self, case, e):
+        n, a = case
+        assert exact([kernels.power(a, n, e)]) == exact([generic_param_power(a, n, e)])
+
+    @given(graded(1, max_len=24), st.sampled_from(["phi", "t"]))
+    @settings(max_examples=40, deadline=None)
+    def test_pow_param_against_oracles(self, case, symbol):
+        n, a = case
+        s = Series(a)
+        got = exact([s.pow_param(symbol).coeffs])
+        assert got == exact([pow_param_oracle(s, symbol).coeffs])
+        assert got == exact([pow_param_columns_oracle(s, symbol).coeffs])
+
+    @given(st.integers(2, 10), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_huge_coefficients(self, n, data):
+        # numerators and denominators near 2^200 outgrow the first digit
+        # width at once
+        a = [F(1)] + data.draw(coeffs(n - 1, st.one_of(small, huge, zero)))
+        e = data.draw(st.sampled_from(NAMED_PARAM_EXPONENTS))
+        assert exact([kernels.power(a, n, e)]) == exact([generic_param_power(a, n, e)])
+
+    @pytest.mark.parametrize(
+        "e", NAMED_PARAM_EXPONENTS, ids=["phi", "1+phi/2", "phi^2"]
+    )
+    def test_widens_mid_run(self, monkeypatch, e):
+        # small terms first, then a coefficient near 2^200 at x^7: the
+        # digit width grows after N_0 .. N_6 are stored, which are repacked
+        a = [F(1), F(1, 2), F(-3), F(2, 5), F(0), F(1), F(-1, 7)]
+        a += [F(2**200 + 1, 3**120), F(5), F(-(2**199), 7), F(0), F(1, 11)]
+        want = generic_param_power(a, len(a), e)
+        sizes = []
+        real = kernels._pack
+
+        def spy(v, size, half):
+            sizes.append(size)
+            return real(v, size, half)
+
+        monkeypatch.setattr(kernels, "_pack", spy)
+        got = kernels.power(a, len(a), e)
+        assert exact([got]) == exact([want])
+        # one width packed u and at least N_0 .. N_6
+        assert max(sizes.count(size) for size in sizes) >= 8
+
+    @pytest.mark.parametrize("bits", [1, 7, 8, 9, 15, 16, 17, 63, 64, 200])
+    def test_digit_width_holds_its_bound(self, bits):
+        # digits up to 2^bits - 1 of either sign round-trip at the width
+        # the kernels choose for them
+        size = kernels._digit_size(bits)
+        half = 1 << (8 * size - 1)
+        top = (1 << bits) - 1
+        digits = [top, -top, 0, -top, 1, top]
+        packed = kernels._pack(digits, size, half)
+        assert kernels._unpack(packed, len(digits), size, half) == digits
+
+    def test_orders_one_and_two(self):
+        t = ParamPoly.param("t")
+        assert exact([kernels.power([F(1)], 1, t)]) == exact([[ParamPoly((1,), "t")]])
+        # (1 + 3x/2)^(1 + t/2) = 1 + (3/2 + 3t/4) x + O(x^2)
+        got = kernels.power([F(1), F(3, 2)], 2, ParamPoly((1, F(1, 2)), "t"))
+        want = [ParamPoly((1,), "t"), ParamPoly((F(3, 2), F(3, 4)), "t")]
+        assert exact([got]) == exact([want])
+        for order in (1, 2):
+            s = Series([1, F(-2, 5)], order)
+            assert exact([s.pow_param().coeffs]) == exact([pow_param_oracle(s).coeffs])

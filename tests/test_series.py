@@ -16,6 +16,7 @@ from riordan import (
     x_series,
     zeros,
 )
+from riordan import _purekernels as kernels
 from conftest import S, catalan_oracle, pow_param_oracle, pow_rat_oracle
 
 F = Fraction
@@ -237,8 +238,8 @@ class TestAnalyticOracles:
 
     def test_pow_rat_param_exponent(self):
         # a symbolic exponent on a rational series gives g^phi
-        g = geometric(6)
-        assert g.pow_rat(ParamPoly.param()) == g.pow_param()
+        g, phi = geometric(6), ParamPoly.param()
+        assert g.pow_rat(phi) == pow_rat_oracle(g, phi)
 
     def test_pow_param_specializes(self):
         g = geometric(7)
@@ -371,8 +372,10 @@ UNIT_ENTRIES = st.builds(F, st.integers(-9, 9), st.integers(1, 7))
 
 
 class TestPowParamOracle:
-    """``pow_param`` reads the columns (log s)^m / m!; the oracle runs
-    ``exp`` on ``ParamPoly`` coefficients (``conftest``)."""
+    """``pow_param`` is the ``power`` kernel with the bare parameter as
+    exponent; the oracle (``conftest``) runs ``exp`` on ``ParamPoly``
+    coefficients.  ``test_backend`` also checks it against the columns
+    (log s)^m / m! it replaced."""
 
     @given(
         cs=st.lists(UNIT_ENTRIES, max_size=23),
@@ -390,6 +393,9 @@ class TestPowParamOracle:
         ]
 
     def test_rational_input_does_no_param_poly_arithmetic(self, monkeypatch):
+        # pow_param, and pow_rat with a bare, an affine and a quadratic
+        # symbolic exponent, all stay in the integer kernel
+        exponents = [ParamPoly.param(), ParamPoly((1, F(1, 2))), ParamPoly((0, 0, 1))]
         calls = []
         for name in ("__mul__", "__add__", "__radd__", "__rmul__"):
             real = getattr(ParamPoly, name)
@@ -400,10 +406,19 @@ class TestPowParamOracle:
 
             monkeypatch.setattr(ParamPoly, name, counted)
 
-        def no_exp(self):
-            raise AssertionError("pow_param reached Series.exp")
+        def refuse(*args, **kwargs):
+            raise AssertionError("a symbolic power left the integer kernel")
 
-        monkeypatch.setattr(Series, "exp", no_exp)
+        monkeypatch.setattr(Series, "exp", refuse)
+        monkeypatch.setattr(Series, "log", refuse)
+        monkeypatch.setattr(kernels, "columns", refuse)
+        monkeypatch.setattr(kernels, "generic_power", refuse)
         s = Series([1, F(1, 2), -3, F(2, 7), 5, F(-1, 3)], 12)
         s.pow_param()
+        for e in exponents:
+            s.pow_rat(e)
         assert calls == []
+
+    def test_pow_param_names_itself(self):
+        with pytest.raises(ValueError, match="^pow_param requires constant term 1$"):
+            Series([2, 1], 4).pow_param()
