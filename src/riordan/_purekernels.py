@@ -142,7 +142,11 @@ def columns(a: list, n: int, beta=None, zero=ZERO) -> list:
         return generic_columns(a, n, beta, zero)
     x, dx = _integers(a)
     size = len(a)
-    v = next((i for i, c in enumerate(x) if c), size)
+    v = 0  # the valuation of a
+    while v < size and not x[v]:
+        v += 1
+    if v:
+        x = x[v:]
     p, q = (1, 1) if beta is None else (beta.numerator, beta.denominator)
     nums, den = [1] + [0] * (size - 1), 1
     cols = [_fractions(nums, den)]
@@ -151,10 +155,12 @@ def columns(a: list, n: int, beta=None, zero=ZERO) -> list:
         if lo >= size:
             nums = [0] * size
         else:
-            tail = nums[lo - v:]
+            tail = nums[lo - v:] if v else nums
             if beta is not None:
                 tail = [(p + s * q) * c for s, c in enumerate(tail, lo - v)]
-            nums = [0] * lo + _kronecker_mul(x[v:], tail, size - lo)
+            nums = _kronecker_mul(x, tail, size - lo)
+            if lo:
+                nums = [0] * lo + nums
         den *= dx * q * m
         r = gcd(den, *nums)
         nums, den = [c // r for c in nums], den // r

@@ -350,7 +350,7 @@ NAMED_PARAM_EXPONENTS = [PHI, ParamPoly((1, F(1, 2))), ParamPoly((0, 0, 1))]
 PARAM_EXPONENTS = st.one_of(
     st.sampled_from(
         NAMED_PARAM_EXPONENTS
-        + [ParamPoly(()), ParamPoly((F(-2, 3),))]
+        + [ParamPoly(()), ParamPoly((-1,)), ParamPoly((F(-2, 3),))]
         + [ParamPoly((F(1, 3), -2, F(5, 7)), "t")]
     ),
     st.builds(ParamPoly, st.lists(small, max_size=3), st.sampled_from(["phi", "t"])),
@@ -423,6 +423,14 @@ class TestParamExponent:
         digits = [top, -top, 0, -top, 1, top]
         packed = kernels._pack(digits, size, half)
         assert kernels._unpack(packed, len(digits), size, half) == digits
+
+    def test_digit_bound_without_slack(self):
+        # at e = -1, u = e + 1 = 0 and every term of step k has the factor
+        # -k, so the digits of a step can reach the top bit of their
+        # bound: a width that admits one bit fewer corrupts a digit here
+        a = [F(1), F(63), F(0), F(0), F(-3, 16)]
+        e = ParamPoly((-1,))
+        assert exact([kernels.power(a, 5, e)]) == exact([generic_param_power(a, 5, e)])
 
     def test_orders_one_and_two(self):
         t = ParamPoly.param("t")
