@@ -2,8 +2,8 @@
 
 Series-valued flags (``--f``, ``--g``, ``--b``, ``--expr``) take the
 expression grammar of :mod:`riordan.exprparse`; numeric flags take
-exact rationals like ``3`` or ``-5/2``.  Exit status: 0 on success,
-1 when a check or comparison fails, 2 on usage or input errors.
+exact rationals like ``3`` or ``-5/2``.  Exit status: 0 on success, 1
+when a check or comparison fails, 2 with one ``error:`` line on bad input.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from pathlib import Path
 from . import __version__
 from .bexpansion import PARTITION_N_LIMIT, b_expand, bcomp_matrix
 from .core import EXPONENTIAL, ORDINARY, RiordanError, RiordanMatrix
-from .exprparse import EvalError, ParseError, eval_expr, parse_expr
+from .exprparse import eval_expr, parse_expr
 from .matrixlog import bell_power, composition_matrix
-from .oeis import BFile, BFileError, compare, load_vendored, series_integers
+from .oeis import BFile, compare, load_vendored, series_integers
 from .render import (
     FORMATS,
     format_pairs,
@@ -44,25 +44,38 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+class _BoundedInt:
+    """Argparse type of an integer size flag: from ``floor`` to
+    ``ceiling`` (no ceiling when it is None), for the reason ``why``."""
 
-
-def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be at least 0")
-    return value
-
-
-def _matrix_log_size(flag: str, value: int) -> None:
-    if value > MATRIX_LOG_N_LIMIT:
-        raise argparse.ArgumentTypeError(
-            f"{flag} must be at most {MATRIX_LOG_N_LIMIT} (matrix log)"
+    def __init__(self, floor: int, ceiling: int | None = None, why: str = ""):
+        self.floor, self.ceiling = floor, ceiling
+        self.bounds = (
+            f"at least {floor}" if ceiling is None else f"from {floor} to {ceiling} ({why})"
         )
+
+    def __call__(self, text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < self.floor or self.ceiling is not None and value > self.ceiling:
+            raise argparse.ArgumentTypeError(f"must be {self.bounds}")
+        return value
+
+
+def _identifier(text: str) -> str:
+    if not text.isidentifier():
+        raise argparse.ArgumentTypeError(f"not an identifier: {text!r}")
+    return text
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports every usage error as one line, ``error: <message>``, and
+    exit status 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
 
 
 def _series(expr_text: str, order: int) -> Series:
@@ -76,13 +89,14 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=FORMATS, default="text", help="output format"
-    )
-    parser.add_argument(
-        "--header", action="store_true", help="emit a CSV header row"
-    )
+def _add_output(parser: argparse.ArgumentParser, *rendering: str) -> None:
+    """``--out``, and the ``rendering`` flags that the command's renderer reads."""
+    options = {
+        "--format": dict(choices=FORMATS, default="text", help="output format"),
+        "--header": dict(action="store_true", help="emit a CSV header row"),
+    }
+    for flag in rendering:
+        parser.add_argument(flag, **options[flag])
     parser.add_argument("--out", help="write output to this file")
 
 
@@ -96,14 +110,12 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    _matrix_log_size("--order", args.order)
     g = _series(args.g, args.order)
     _emit(args, format_series(bell_power(g, args.phi), args.format, args.header))
     return 0
 
 
 def _cmd_comp_poly(args) -> int:
-    _matrix_log_size("--rows", args.rows)
     g = _series(args.g, args.rows)
     mat = composition_matrix(g)
     _emit(args, format_triangle(mat.triangle, args.format, args.header))
@@ -149,7 +161,7 @@ def _cmd_sqrt_factor(args) -> int:
 
 def _cmd_diag(args) -> int:
     if not 0 <= args.index < args.rows:
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"--index must be from 0 to {args.rows - 1} for --rows {args.rows}"
         )
     f = _series(args.f, args.rows)
@@ -170,18 +182,6 @@ def _cmd_diag(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if not args.all and not args.suite:
-        raise argparse.ArgumentTypeError("need --suite NAME or --all")
-    if args.order < CHECK_ORDER_MIN:
-        raise argparse.ArgumentTypeError(
-            f"--order must be at least {CHECK_ORDER_MIN}"
-            " (theorem72 cannot tell geometric from Catalan B below it)"
-        )
-    if args.order > PARTITION_N_LIMIT:
-        raise argparse.ArgumentTypeError(
-            f"--order must be at most {PARTITION_N_LIMIT}"
-            " (the suites build <B> with order + 1 rows)"
-        )
     results = (
         run_all(args.order) if args.all else run_suite(args.suite, args.order)
     )
@@ -210,7 +210,7 @@ def _cmd_oeis_compare(args) -> int:
     else:
         seq = series_integers(_series(args.expr, args.order).coeffs)
     if len(seq) < args.min_match:
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"--min-match {args.min_match} needs at least {args.min_match}"
             f" terms, got {len(seq)}"
         )
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser.  ``main`` builds it once, on its first call;
     each command's ``func`` looks its module-global ``_cmd_*`` up when it
     runs, so a replaced ``_cmd_*`` is still the one called."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="riordan",
         description="Exact Riordan-matrix calculator: triangles, matrix "
         "powers, B-sequence expansions, invariant checks.",
@@ -232,81 +232,93 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = _BoundedInt(1)
+    matrix_log = _BoundedInt(1, MATRIX_LOG_N_LIMIT, "matrix log")
+    partitions = f"odd partitions of n <= {PARTITION_N_LIMIT}"
 
     p = sub.add_parser("matrix", help="materialize the triangle of (f, xg)")
     p.add_argument("--f", default="1", help="first component expression")
     p.add_argument("--g", required=True, help="second component expression")
-    p.add_argument("--rows", type=_positive, default=8)
+    p.add_argument("--rows", type=positive, default=8)
     p.add_argument("--exponential", action="store_true")
-    _add_common(p)
+    _add_output(p, "--format", "--header")
     p.set_defaults(func=lambda args: _cmd_matrix(args))
 
     p = sub.add_parser("power", help="series of the matrix power (g, xg)^phi")
     p.add_argument("--g", required=True)
     p.add_argument("--phi", type=_rational, default=Fraction(1))
-    p.add_argument("--order", type=_positive, default=12)
-    _add_common(p)
+    p.add_argument("--order", type=matrix_log, default=12)
+    _add_output(p, "--format", "--header")
     p.set_defaults(func=lambda args: _cmd_power(args))
 
     p = sub.add_parser(
         "comp-poly", help="composition-polynomial matrix L = log-based rows"
     )
     p.add_argument("--g", required=True)
-    p.add_argument("--rows", type=_positive, default=11)
-    _add_common(p)
+    p.add_argument("--rows", type=matrix_log, default=11)
+    _add_output(p, "--format", "--header")
     p.set_defaults(func=lambda args: _cmd_comp_poly(args))
 
     p = sub.add_parser("bcomp", help="B-composition matrix <B>")
     p.add_argument("--b", required=True, help="B-function expression")
-    p.add_argument("--rows", type=_positive, default=11)
-    _add_common(p)
+    p.add_argument(
+        "--rows", type=_BoundedInt(1, PARTITION_N_LIMIT + 1, partitions), default=11
+    )
+    _add_output(p, "--format", "--header")
     p.set_defaults(func=lambda args: _cmd_bcomp(args))
 
     p = sub.add_parser(
         "bexpand", help="[x^n] g^phi as a polynomial in phi via B-sequence"
     )
     p.add_argument("--b", required=True)
-    p.add_argument("--n", type=_nonnegative, required=True)
-    p.add_argument("--symbol", default="phi")
-    _add_common(p)
+    p.add_argument(
+        "--n", type=_BoundedInt(0, PARTITION_N_LIMIT, partitions), required=True
+    )
+    p.add_argument("--symbol", type=_identifier, default="phi")
+    _add_output(p, "--format", "--header")
     p.set_defaults(func=lambda args: _cmd_bexpand(args))
 
     p = sub.add_parser("aseq", help="A-sequence of (1, xg)")
     p.add_argument("--g", required=True)
-    p.add_argument("--order", type=_positive, default=12)
-    _add_common(p)
+    p.add_argument("--order", type=positive, default=12)
+    _add_output(p, "--format", "--header")
     p.set_defaults(func=lambda args: _cmd_aseq(args))
 
     p = sub.add_parser("bseq", help="B-sequence of a pseudo-involution")
     p.add_argument("--f", default="1")
     p.add_argument("--g", required=True)
-    p.add_argument("--order", type=_positive, default=12)
-    _add_common(p)
+    p.add_argument("--order", type=positive, default=12)
+    _add_output(p, "--format", "--header")
     p.set_defaults(func=lambda args: _cmd_bseq(args))
 
     p = sub.add_parser(
         "sqrt-factor", help="factor (1, xg) = (1, x sqrt(g))(1, xh)"
     )
     p.add_argument("--g", required=True)
-    p.add_argument("--order", type=_positive, default=12)
-    _add_common(p)
+    p.add_argument("--order", type=positive, default=12)
+    _add_output(p, "--format")
     p.set_defaults(func=lambda args: _cmd_sqrt_factor(args))
 
     p = sub.add_parser("diag", help="diagonal of a Riordan triangle")
     p.add_argument("--f", default="1")
     p.add_argument("--g", required=True)
-    p.add_argument("--rows", type=_positive, default=12)
+    p.add_argument("--rows", type=positive, default=12)
     p.add_argument("--exponential", action="store_true")
     p.add_argument("--direction", choices=("down", "up"), default="down")
     p.add_argument("--index", type=int, default=0)
-    _add_common(p)
+    _add_output(p, "--format", "--header")
     p.set_defaults(func=lambda args: _cmd_diag(args))
 
     p = sub.add_parser("check", help="run named invariant suites")
-    p.add_argument("--suite", choices=sorted(SUITES))
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--order", type=_positive, default=12)
-    _add_common(p)
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--suite", choices=sorted(SUITES))
+    which.add_argument("--all", action="store_true")
+    check_order = _BoundedInt(
+        CHECK_ORDER_MIN, PARTITION_N_LIMIT, "theorem72 cannot tell geometric from"
+        f" Catalan B below {CHECK_ORDER_MIN}; the suites build <B> with order + 1 rows",
+    )
+    p.add_argument("--order", type=check_order, default=12)
+    _add_output(p)
     p.set_defaults(func=lambda args: _cmd_check(args))
 
     p = sub.add_parser(
@@ -318,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     seq = p.add_mutually_exclusive_group(required=True)
     seq.add_argument("--expr", help="series expression for the sequence")
     seq.add_argument("--values", help="comma-separated integers")
-    p.add_argument("--order", type=_positive, default=16)
-    p.add_argument("--min-match", type=_positive, default=8)
-    _add_common(p)
+    p.add_argument("--order", type=positive, default=16)
+    p.add_argument("--min-match", type=positive, default=8)
+    _add_output(p)
     p.set_defaults(func=lambda args: _cmd_oeis_compare(args))
 
     return parser
@@ -337,11 +349,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        ParseError,
-        EvalError,
-        BFileError,
         RiordanError,
-        argparse.ArgumentTypeError,
         KeyError,
         ValueError,
         ZeroDivisionError,

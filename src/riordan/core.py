@@ -124,14 +124,6 @@ class RiordanMatrix:
         # second component of the inverse is revert(xg) = x * (1/g(wbar))
         return RiordanMatrix(f, ginv, self.kind)
 
-    def apply(self, s: Series) -> Series:
-        """Apply the matrix to the coefficient vector of ``s``."""
-        tri = self.triangle()
-        vec = list(s.coeffs[: min(s.order, self.order)])
-        out = tri.apply_vec(vec)
-        k = min(self.order, s.order)
-        return Series(out[:k], k)
-
     def __eq__(self, other):
         if not isinstance(other, RiordanMatrix):
             return NotImplemented

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface (in-process)."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import RNA_BCOMP_ROWS, RNA_MATRIX_ROWS, T
 from riordan import PARTITION_N_LIMIT
 from riordan import cli
-from riordan.cli import MATRIX_LOG_N_LIMIT, main
+from riordan.cli import CHECK_ORDER_MIN, MATRIX_LOG_N_LIMIT, main
 from riordan.exprparse import EXPR_EXPONENT_LIMIT
 from riordan.exprparse import EvalError, ParseError, eval_expr, parse_expr
 from riordan.render import format_triangle
@@ -33,7 +34,10 @@ RNA_TEXT = "\n".join(
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # the parser rejects a bad flag this way
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -153,7 +157,7 @@ def test_matrix_log_size_ceiling(capsys, command, flag):
     code, out, err = run(capsys, command, "--g", "rna", flag, size)
     assert code == 2 and out == ""
     assert err == (
-        f"error: {flag} must be at most {MATRIX_LOG_N_LIMIT} (matrix log)\n"
+        f"error: argument {flag}: must be from 1 to {MATRIX_LOG_N_LIMIT} (matrix log)\n"
     )
 
 
@@ -175,7 +179,7 @@ class TestBComp:
         code, out, err = run(capsys, "bcomp", "--b", "geom", "--rows", str(rows))
         assert code == 2 and out == ""
         assert err == (
-            f"error: <B> is limited to {rows - 1} rows"
+            f"error: argument --rows: must be from 1 to {rows - 1}"
             f" (odd partitions of n <= {PARTITION_N_LIMIT})\n"
         )
 
@@ -205,10 +209,12 @@ class TestBExpand:
         assert out == "t\n"
 
     def test_negative_n_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bexpand", "--b", "1", "--n", "-1"])
-        assert exc.value.code == 2
-        assert "--n: must be at least 0" in capsys.readouterr().err
+        assert run(capsys, "bexpand", "--b", "1", "--n", "-1") == (
+            2,
+            "",
+            f"error: argument --n: must be from 0 to {PARTITION_N_LIMIT}"
+            f" (odd partitions of n <= {PARTITION_N_LIMIT})\n",
+        )
 
 
 class TestSequences:
@@ -342,25 +348,25 @@ class TestCheck:
     def test_requires_suite_or_all(self, capsys):
         code, _, err = run(capsys, "check")
         assert code == 2
-        assert "need --suite NAME or --all" in err
+        assert err == "error: one of the arguments --suite --all is required\n"
+
+    ORDER_RANGE = (
+        f"error: argument --order: must be from 7 to {PARTITION_N_LIMIT}"
+        " (theorem72 cannot tell geometric from Catalan B below 7;"
+        " the suites build <B> with order + 1 rows)\n"
+    )
 
     def test_order_above_partition_ceiling(self, capsys):
         order = PARTITION_N_LIMIT + 1
         code, out, err = run(capsys, "check", "--all", "--order", str(order))
         assert code == 2 and out == ""
-        assert err == (
-            f"error: --order must be at most {PARTITION_N_LIMIT}"
-            " (the suites build <B> with order + 1 rows)\n"
-        )
+        assert err == self.ORDER_RANGE
 
     @pytest.mark.parametrize("order", [1, 6])
     def test_order_below_floor(self, capsys, order):
         code, out, err = run(capsys, "check", "--all", "--order", str(order))
         assert code == 2 and out == ""
-        assert err == (
-            "error: --order must be at least 7"
-            " (theorem72 cannot tell geometric from Catalan B below it)\n"
-        )
+        assert err == self.ORDER_RANGE
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -548,6 +554,88 @@ class TestErrorHandling:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("riordan ")
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["matrix", "--g", "x", "--rows", "abc"], "--rows: not an integer: 'abc'"),
+        (["matrix", "--g", "x", "--rows", "0"], "--rows: must be at least 1"),
+        (["oeis-compare", "--vendored", "A097724", "--values", "1", "--min-match", "-3"],
+         "--min-match: must be at least 1"),
+        (["bexpand", "--b", "geom", "--n", str(PARTITION_N_LIMIT + 1)], "--n: must be from 0"),
+        (["power", "--g", "rna", "--order", str(MATRIX_LOG_N_LIMIT + 1)], "--order: must be"),
+        (["power", "--g", "rna", "--phi", "1/0"], "--phi: not a rational"),
+        (["matrix"], "required: --g"),
+        (["oeis-compare", "--vendored", "A097724"], "--expr --values is required"),
+        ([], "required: command"),
+        (["nope"], "invalid choice: 'nope'"),
+        (["diag", "--g", "x", "--direction", "left"], "invalid choice: 'left'"),
+        (["check", "--suite", "nope"], "invalid choice: 'nope'"),
+        (["check", "--suite", "lemma21", "--all"], "not allowed with argument --suite"),
+        (["bexpand", "--b", "geom", "--n", "3", "--symbol", "1"], "not an identifier: '1'"),
+        (["bexpand", "--b", "geom", "--n", "3", "--symbol", ""], "not an identifier: ''"),
+        (["check", "--all", "--format", "json"], "unrecognized arguments: --format json"),
+        (["check", "--all", "--header"], "unrecognized arguments: --header"),
+        (["oeis-compare", "--vendored", "A097724", "--values", "1", "--format", "csv"],
+         "unrecognized arguments: --format csv"),
+        (["sqrt-factor", "--g", "rna", "--header"], "unrecognized arguments: --header"),
+    ],
+    ids=[
+        "non-integer", "below-floor", "below-floor-min-match", "above-ceiling",
+        "above-matrix-log", "non-rational", "missing-flag", "missing-group",
+        "missing-command", "unknown-command", "invalid-direction", "invalid-suite",
+        "suite-and-all", "symbol-digit", "symbol-empty", "check-format",
+        "check-header", "oeis-compare-format", "sqrt-factor-header",
+    ],
+)
+def test_bad_flag_is_one_line(capsys, argv, names):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert names in err
+
+
+# the size flags with no ceiling yet: each still runs as long as its size asks
+NO_CEILING_YET = {
+    ("matrix", "--rows"), ("diag", "--rows"), ("aseq", "--order"),
+    ("bseq", "--order"), ("sqrt-factor", "--order"), ("oeis-compare", "--order"),
+    ("oeis-compare", "--min-match"),
+}
+
+
+def test_every_size_flag_declares_its_bounds():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {  # every option of every command that parses to an integer
+        (command, action.option_strings[-1]): action
+        for command, p in sub.choices.items()
+        for action in p._actions
+        if action.type is int
+        or isinstance(action.type, cli._BoundedInt)
+        or (isinstance(action.default, int) and not isinstance(action.default, bool))
+    }
+    # --index's range depends on --rows, so the command checks it
+    assert options.pop(("diag", "--index")).type is int
+    assert all(isinstance(a.type, cli._BoundedInt) for a in options.values())
+    ceilings = {key: a.type.ceiling for key, a in options.items()}
+    assert ceilings == {
+        ("power", "--order"): MATRIX_LOG_N_LIMIT,
+        ("comp-poly", "--rows"): MATRIX_LOG_N_LIMIT,
+        ("check", "--order"): PARTITION_N_LIMIT,
+        ("bcomp", "--rows"): PARTITION_N_LIMIT + 1,
+        ("bexpand", "--n"): PARTITION_N_LIMIT,
+        **dict.fromkeys(NO_CEILING_YET),
+    }
+    floors = {key: a.type.floor for key, a in options.items()}
+    assert floors == {
+        **dict.fromkeys(options, 1),
+        ("check", "--order"): CHECK_ORDER_MIN,
+        ("bexpand", "--n"): 0,
+    }
+    for a in options.values():
+        if a.default is not None:
+            assert a.type.floor <= a.default <= (a.type.ceiling or a.default)
 
 
 _RATIONAL = st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(1, 9))

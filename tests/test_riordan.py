@@ -162,13 +162,15 @@ class TestGroupLaw:
 
     def test_apply_binomial_transform(self):
         # P applied to (1,1,1,...) doubles: coefficients 2^n.
-        out = pascal(8).apply(geometric(8))
-        assert list(out.coeffs) == [1, 2, 4, 8, 16, 32, 64, 128]
+        out = pascal(8).triangle().apply_vec(list(geometric(8).coeffs))
+        assert out == [1, 2, 4, 8, 16, 32, 64, 128]
 
     def test_apply_is_f_times_composition(self):
+        # the fundamental theorem: M a = f * a(xg)
         m = RiordanMatrix(catalan(8), catalan(8))
         a = S([1, 3, 0, 5], 8)
-        assert m.apply(a) == m.f * a.compose(m.xg())
+        out = m.triangle().apply_vec(list(a.coeffs))
+        assert S(out, 8) == m.f * a.compose(m.xg())
 
     def test_equality(self):
         assert pascal() == pascal()
