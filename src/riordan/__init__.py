@@ -18,6 +18,7 @@ Quick start::
 
 from ._backend import backend_name
 from .bexpansion import (
+    BCOMP_ROWS_LIMIT,
     PARTITION_N_LIMIT,
     BCompMatrix,
     OddPartition,
@@ -79,6 +80,7 @@ from .triangle import Triangle
 __version__ = "0.1.0"
 
 __all__ = [
+    "BCOMP_ROWS_LIMIT",
     "BCompMatrix",
     "CheckResult",
     "CompositionMatrix",

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .bexpansion import PARTITION_N_LIMIT, b_expand, bcomp_matrix
+from .bexpansion import BCOMP_ROWS_LIMIT, PARTITION_N_LIMIT, b_expand, bcomp_matrix
 from .core import EXPONENTIAL, ORDINARY, RiordanError, RiordanMatrix
 from .exprparse import eval_expr, parse_expr
 from .matrixlog import bell_power, composition_matrix
@@ -62,6 +62,18 @@ class _BoundedInt:
         if value < self.floor or self.ceiling is not None and value > self.ceiling:
             raise argparse.ArgumentTypeError(f"must be {self.bounds}")
         return value
+
+
+def _integer_list(text: str) -> list[int]:
+    """Comma-separated integers; blank terms are skipped."""
+    values = []
+    for term in text.split(","):
+        if term.strip():
+            try:
+                values.append(int(term))
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"not an integer: {term.strip()!r}")
+    return values
 
 
 def _identifier(text: str) -> str:
@@ -206,7 +218,7 @@ def _cmd_oeis_compare(args) -> int:
     else:
         bfile = load_vendored(args.vendored)
     if args.values is not None:
-        seq = [int(v) for v in args.values.split(",") if v.strip()]
+        seq = args.values
     else:
         seq = series_integers(_series(args.expr, args.order).coeffs)
     if len(seq) < args.min_match:
@@ -262,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bcomp", help="B-composition matrix <B>")
     p.add_argument("--b", required=True, help="B-function expression")
     p.add_argument(
-        "--rows", type=_BoundedInt(1, PARTITION_N_LIMIT + 1, partitions), default=11
+        "--rows",
+        type=_BoundedInt(1, BCOMP_ROWS_LIMIT, "the <B> table grows about as rows^3.5"),
+        default=11,
     )
     _add_output(p, "--format", "--header")
     p.set_defaults(func=lambda args: _cmd_bcomp(args))
@@ -329,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--vendored", help="vendored sequence id, e.g. A097724")
     seq = p.add_mutually_exclusive_group(required=True)
     seq.add_argument("--expr", help="series expression for the sequence")
-    seq.add_argument("--values", help="comma-separated integers")
+    seq.add_argument("--values", type=_integer_list, help="comma-separated integers")
     p.add_argument("--order", type=positive, default=16)
     p.add_argument("--min-match", type=positive, default=8)
     _add_output(p)
@@ -350,7 +364,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (
         RiordanError,
-        KeyError,
         ValueError,
         ZeroDivisionError,
         OSError,

@@ -24,7 +24,7 @@ from riordan import (
     one_series,
 )
 from riordan._purekernels import _integers
-from riordan.bexpansion import _b_coeffs, _odd_mults_cached
+from riordan.bexpansion import _b_coeffs, _odd_mults, _odd_mults_cached, _sums_by_parts
 from riordan.core import _as_series
 from riordan.matrixlog import bell_log
 from riordan.series import _power_columns
@@ -453,6 +453,17 @@ def bcomp_row_oracle(bs, n):
     for q, (num, den) in by_q.items():
         k = (n + q) // 2
         row[q] = Fraction(perm(k, q - 1) * num, den)
+    return row
+
+
+def _bcomp_row(bs: list[Fraction], n: int) -> list[Fraction]:
+    """Row n of <B> by the partition formula: entry q is
+    (k)_{q-1} S_q with k = (n+q)/2."""
+    if n == 0:
+        return [ONE]
+    row = [ZERO] * (n + 1)
+    for q, s in _sums_by_parts(bs, _odd_mults(n)).items():
+        row[q] = perm((n + q) // 2, q - 1) * s
     return row
 
 

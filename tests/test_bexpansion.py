@@ -20,6 +20,7 @@ from conftest import (
     ONE_PLUS_X_ROWS,
     RNA_BCOMP_ROWS,
     S,
+    _bcomp_row,
     a_expand_oracle,
     b_expand_oracle,
     bcomp_row_from_convolutions_oracle,
@@ -32,6 +33,7 @@ from conftest import (
 )
 from riordan import (
     EXPONENTIAL,
+    BCOMP_ROWS_LIMIT,
     PARTITION_N_LIMIT,
     ParamPoly,
     RiordanMatrix,
@@ -65,7 +67,7 @@ from riordan import (
     rna_row_closed,
     rna_series,
 )
-from riordan.bexpansion import _odd_mults, _sums_by_parts, _weight
+from riordan.bexpansion import _odd_mults, _odd_mults_cached, _sums_by_parts, _weight
 from riordan.series import _power_columns
 from conftest import power_table_oracle as _power_table
 
@@ -136,8 +138,10 @@ class TestOddPartitions:
             odd_partitions(PARTITION_N_LIMIT + 1)
 
     def test_limit_covers_the_64_row_matrix(self):
-        # bcomp_matrix with 64 rows enumerates partitions of 63.
+        # b_expand at n = 63 enumerates partitions of 63; a 64-row <B>
+        # enumerates none and meets its own ceiling.
         assert PARTITION_N_LIMIT >= 63
+        assert BCOMP_ROWS_LIMIT >= 64
 
     def test_catalan_number(self):
         assert [catalan_number(n) for n in range(8)] == [
@@ -388,16 +392,37 @@ class TestBCompMatrix:
             bcomp_matrix(S([1, 1]), 11)
 
     def test_row_ceiling(self):
-        # Row n sums over the odd partitions of n, so the ceiling is
-        # checked before any row (or the B window) is looked at.
-        with pytest.raises(ValueError, match=f"{PARTITION_N_LIMIT + 1} rows"):
-            bcomp_matrix(S([1, 1]), PARTITION_N_LIMIT + 2)
+        # The ceiling is checked before the B window is looked at.
+        with pytest.raises(ValueError, match=f"limited to {BCOMP_ROWS_LIMIT} rows$"):
+            bcomp_matrix(S([1, 1]), BCOMP_ROWS_LIMIT + 1)
+
+    def test_enumerates_no_partitions(self):
+        before = _odd_mults_cached.cache_info()
+        bcomp_matrix(B_MIXED.pad_zeros(20), 41)
+        assert _odd_mults_cached.cache_info() == before
+
+    @pytest.mark.parametrize(
+        "b, rows",
+        [(catalan(60), 81), (S([1, 0, Fraction(-3, 4), 2, 0, Fraction(5, 7)], 60), 121)],
+        ids=["catalan-81", "rational-121"],
+    )
+    def test_rows_above_the_old_ceiling_match_convolutions(self, b, rows):
+        # Above 81 rows the partition oracles cannot follow; the columns
+        # B^m / m! of (1, xB)_E are the independent route.
+        mat = bcomp_matrix(b, rows)
+        for n in range(rows):
+            assert mat.row_poly(n) == bcomp_row_from_convolutions(b, n)
 
 
 # B of length 1-8, entries p/q with |p| <= 5 and q <= 4 (zeros included);
 # the window is padded with zeros to 16 terms, enough for n <= 31.
 B_ENTRIES = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
 B_WINDOWS = st.lists(B_ENTRIES, min_size=1, max_size=8).map(lambda cs: Series(cs, 16))
+# zero about half the time, else p/q with |p| <= 9 and q <= 12, so the
+# denominators of the <B> table meet several primes and powers
+TABLE_TERMS = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+)
 
 
 class TestPartitionSumOracles:
@@ -427,6 +452,23 @@ class TestPartitionSumOracles:
         bs = list(b.coeffs)
         assert [list(tri.row(n)) for n in range(order)] == [
             bcomp_row_oracle(bs, n) for n in range(order)
+        ]
+
+    @given(
+        head=TABLE_TERMS,
+        rest=st.lists(TABLE_TERMS, max_size=20),
+        order=st.integers(1, 41),
+        spare=st.integers(0, 6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bcomp_table_by_q(self, head, rest, order, spare):
+        # The table against the enumeration grouped by q that it
+        # replaced, on a window with ``spare`` terms more than it needs.
+        window = max(order // 2, 1) + spare
+        b = Series(([head] + rest)[:window], window)
+        tri = bcomp_matrix(b, order).triangle
+        assert [list(tri.row(n)) for n in range(order)] == [
+            _bcomp_row(list(b.coeffs), n) for n in range(order)
         ]
 
     @given(b=B_WINDOWS, n=st.integers(0, 30))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import RNA_BCOMP_ROWS, RNA_MATRIX_ROWS, T
-from riordan import PARTITION_N_LIMIT
+from riordan import BCOMP_ROWS_LIMIT, PARTITION_N_LIMIT
 from riordan import cli
 from riordan.cli import CHECK_ORDER_MIN, MATRIX_LOG_N_LIMIT, main
 from riordan.exprparse import EXPR_EXPONENT_LIMIT
@@ -174,13 +174,13 @@ class TestBComp:
         assert code == 0
         assert out.splitlines() == ["1", "0 1", "0 0 1", "0 1 0 1", "0 0 3 0 1"]
 
-    def test_rows_above_partition_ceiling(self, capsys):
-        rows = PARTITION_N_LIMIT + 2
-        code, out, err = run(capsys, "bcomp", "--b", "geom", "--rows", str(rows))
+    def test_rows_above_ceiling(self, capsys):
+        rows = str(BCOMP_ROWS_LIMIT + 1)
+        code, out, err = run(capsys, "bcomp", "--b", "geom", "--rows", rows)
         assert code == 2 and out == ""
         assert err == (
-            f"error: argument --rows: must be from 1 to {rows - 1}"
-            f" (odd partitions of n <= {PARTITION_N_LIMIT})\n"
+            f"error: argument --rows: must be from 1 to {BCOMP_ROWS_LIMIT}"
+            " (the <B> table grows about as rows^3.5)\n"
         )
 
 
@@ -404,6 +404,17 @@ class TestOeisCompare:
         assert code == 0
         assert out == "PASS: first 3 terms match (threshold 3)\n"
 
+    def test_values_skip_blank_terms(self, capsys, tmp_path):
+        p = tmp_path / "b000.txt"
+        p.write_text("0 1\n1 3\n2 9\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys,
+            "oeis-compare", "--bfile", str(p), "--values", " 1, 3,,9 ,",
+            "--min-match", "3",
+        )
+        assert code == 0
+        assert out == "PASS: first 3 terms match (threshold 3)\n"
+
     def test_unknown_vendored_id(self, capsys):
         code, _, err = run(
             capsys, "oeis-compare", "--vendored", "A0", "--values", "1"
@@ -563,6 +574,8 @@ class TestErrorHandling:
         (["matrix", "--g", "x", "--rows", "0"], "--rows: must be at least 1"),
         (["oeis-compare", "--vendored", "A097724", "--values", "1", "--min-match", "-3"],
          "--min-match: must be at least 1"),
+        (["oeis-compare", "--vendored", "A097724", "--values", "1, 2,a ,3"],
+         "--values: not an integer: 'a'"),
         (["bexpand", "--b", "geom", "--n", str(PARTITION_N_LIMIT + 1)], "--n: must be from 0"),
         (["power", "--g", "rna", "--order", str(MATRIX_LOG_N_LIMIT + 1)], "--order: must be"),
         (["power", "--g", "rna", "--phi", "1/0"], "--phi: not a rational"),
@@ -582,7 +595,8 @@ class TestErrorHandling:
         (["sqrt-factor", "--g", "rna", "--header"], "unrecognized arguments: --header"),
     ],
     ids=[
-        "non-integer", "below-floor", "below-floor-min-match", "above-ceiling",
+        "non-integer", "below-floor", "below-floor-min-match", "non-integer-values",
+        "above-ceiling",
         "above-matrix-log", "non-rational", "missing-flag", "missing-group",
         "missing-command", "unknown-command", "invalid-direction", "invalid-suite",
         "suite-and-all", "symbol-digit", "symbol-empty", "check-format",
@@ -623,7 +637,7 @@ def test_every_size_flag_declares_its_bounds():
         ("power", "--order"): MATRIX_LOG_N_LIMIT,
         ("comp-poly", "--rows"): MATRIX_LOG_N_LIMIT,
         ("check", "--order"): PARTITION_N_LIMIT,
-        ("bcomp", "--rows"): PARTITION_N_LIMIT + 1,
+        ("bcomp", "--rows"): BCOMP_ROWS_LIMIT,
         ("bexpand", "--n"): PARTITION_N_LIMIT,
         **dict.fromkeys(NO_CEILING_YET),
     }
