@@ -35,6 +35,9 @@ CHECK_ORDER_MIN = 7
 # 0.6 s at 128 terms of sqrt(1+x), 0.16 s of rna, and grow about as n^4:
 # 3.3 s at 192, 11 s at 256 (in-process, CPython 3.11.7, 2-vCPU VM)
 MATRIX_LOG_N_LIMIT = 128
+# matrix and diag build one triangle, about as rows^4: 4 s at 200 rows
+# of 1/(1-x/1000), 0.3 s of rna (in-process, CPython 3.11.7, 2-vCPU VM)
+TRIANGLE_ROWS_LIMIT = 200
 
 
 def _rational(text: str) -> Fraction:
@@ -247,11 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     positive = _BoundedInt(1)
     matrix_log = _BoundedInt(1, MATRIX_LOG_N_LIMIT, "matrix log")
     partitions = f"odd partitions of n <= {PARTITION_N_LIMIT}"
+    triangle_rows = _BoundedInt(1, TRIANGLE_ROWS_LIMIT, "the triangle grows about as rows^4")
 
     p = sub.add_parser("matrix", help="materialize the triangle of (f, xg)")
     p.add_argument("--f", default="1", help="first component expression")
     p.add_argument("--g", required=True, help="second component expression")
-    p.add_argument("--rows", type=positive, default=8)
+    p.add_argument("--rows", type=triangle_rows, default=8)
     p.add_argument("--exponential", action="store_true")
     _add_output(p, "--format", "--header")
     p.set_defaults(func=lambda args: _cmd_matrix(args))
@@ -316,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diag", help="diagonal of a Riordan triangle")
     p.add_argument("--f", default="1")
     p.add_argument("--g", required=True)
-    p.add_argument("--rows", type=positive, default=12)
+    p.add_argument("--rows", type=triangle_rows, default=12)
     p.add_argument("--exponential", action="store_true")
     p.add_argument("--direction", choices=("down", "up"), default="down")
     p.add_argument("--index", type=int, default=0)

@@ -4,7 +4,8 @@ For g with g(0) = 1, K = (g, xg) - I is nilpotent at any finite
 truncation.  Everything here derives, in one direction, from the log
 generator b: ``log_generator`` checks g(0) = 1, sums column 0 of
 log(g, xg) as sum_{p>=1} (-1)^(p-1)/p K^p e_0 over g's full order and
-divides it by x, in one loop for both coefficient rings.
+divides it by x, in one loop for both coefficient rings (K read off
+integer columns of (g, xg) for rational g, with no triangle).
 ``bell_log`` fills log(g, xg) = (b(x), x) D^T, entry
 (i, m) = (m+1) b_(i-m-1) (Jabotinsky, "Analytic iteration", Trans. AMS
 1963); and ``composition_matrix`` has column
@@ -22,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .core import RiordanMatrix
+from .core import RiordanMatrix, _integer_columns
 from .rings import ZERO, ParamPoly
 from .series import Series, _power_columns
 from .triangle import CompositionMatrix, Triangle
@@ -38,23 +39,23 @@ def log_generator(g: Series) -> Series:
     the strictly lower part of the triangle, and the entries of K^p e_0
     below index p vanish and are skipped.  K^p e_0 and the partial sum
     are each a vector over one integer denominator.  For rational g, K
-    is scaled once to integer rows over the lcm of its denominators and
-    both vectors are reduced by one gcd each per p; for g with
-    ``ParamPoly`` coefficients the rows are g's ring elements over
-    denominator 1.  b has order n - 1, so g needs g(0) = 1 and order
-    n >= 2."""
+    is P_m[i - m] (den / e_m) over den = lcm(e_m), read off the columns
+    P_m / e_m of ``_integer_columns`` with no ``Fraction``, and both
+    vectors are reduced by one gcd each per p; for ``ParamPoly`` g the
+    rows are the triangle's ring elements over denominator 1.  b has
+    order n - 1, so g needs g(0) = 1 and order n >= 2."""
     if g[0] != 1:
         raise ValueError("requires g with constant term 1")
     n = g.order
     if n < 2:
         raise ValueError(f"log_generator needs g to order at least 2, got order {n}")
-    lower = [row[:-1] for row in RiordanMatrix(g, g).triangle().rows]
     rational = g.is_rational()
     if rational:
-        den = lcm(*[c.denominator for row in lower for c in row])
-        k = [[c.numerator * (den // c.denominator) for c in row] for row in lower]
+        cols = _integer_columns(g, g, n)
+        den = lcm(*[e for _, e in cols])
+        k = [[cols[m][0][i - m] * (den // cols[m][1]) for m in range(i)] for i in range(n)]
     else:
-        den, k = 1, lower
+        den, k = 1, [row[:-1] for row in RiordanMatrix(g, g).triangle().rows]
     vec, vden = [1] + [0] * (n - 1), 1  # K^p e_0 = vec / vden
     col, cden = [0] * n, 1  # the partial sum, col / cden
     for p in range(1, n):

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import RNA_BCOMP_ROWS, RNA_MATRIX_ROWS, T
 from riordan import BCOMP_ROWS_LIMIT, PARTITION_N_LIMIT
 from riordan import cli
-from riordan.cli import CHECK_ORDER_MIN, MATRIX_LOG_N_LIMIT, main
+from riordan.cli import CHECK_ORDER_MIN, MATRIX_LOG_N_LIMIT, TRIANGLE_ROWS_LIMIT, main
 from riordan.exprparse import EXPR_EXPONENT_LIMIT
 from riordan.exprparse import EvalError, ParseError, eval_expr, parse_expr
 from riordan.render import format_triangle
@@ -159,6 +159,30 @@ def test_matrix_log_size_ceiling(capsys, command, flag):
     assert err == (
         f"error: argument {flag}: must be from 1 to {MATRIX_LOG_N_LIMIT} (matrix log)\n"
     )
+
+
+@pytest.mark.parametrize("command", ["matrix", "diag"])
+class TestTriangleRowsCeiling:
+    def test_at_ceiling(self, capsys, command):
+        rows = str(TRIANGLE_ROWS_LIMIT)
+        code, out, err = run(capsys, command, "--g", "rna", "--rows", rows)
+        assert (code, err) == (0, "")
+        if command == "matrix":
+            lines = out.splitlines()
+            assert len(lines) == TRIANGLE_ROWS_LIMIT
+            # entry (n, n-1) of (1, x rna) is [x] rna^(n-1) = n - 1
+            assert lines[-1].split()[-2:] == [str(TRIANGLE_ROWS_LIMIT - 2), "1"]
+        else:  # the main diagonal of (1, x rna)
+            assert out == " ".join(["1"] * TRIANGLE_ROWS_LIMIT) + "\n"
+
+    def test_above_ceiling(self, capsys, command):
+        rows = str(TRIANGLE_ROWS_LIMIT + 1)
+        code, out, err = run(capsys, command, "--g", "rna", "--rows", rows)
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: argument --rows: must be from 1 to {TRIANGLE_ROWS_LIMIT}"
+            " (the triangle grows about as rows^4)\n"
+        )
 
 
 class TestBComp:
@@ -571,7 +595,8 @@ class TestErrorHandling:
     "argv, names",
     [
         (["matrix", "--g", "x", "--rows", "abc"], "--rows: not an integer: 'abc'"),
-        (["matrix", "--g", "x", "--rows", "0"], "--rows: must be at least 1"),
+        (["matrix", "--g", "x", "--rows", "0"],
+         f"--rows: must be from 1 to {TRIANGLE_ROWS_LIMIT}"),
         (["oeis-compare", "--vendored", "A097724", "--values", "1", "--min-match", "-3"],
          "--min-match: must be at least 1"),
         (["oeis-compare", "--vendored", "A097724", "--values", "1, 2,a ,3"],
@@ -612,9 +637,8 @@ def test_bad_flag_is_one_line(capsys, argv, names):
 
 # the size flags with no ceiling yet: each still runs as long as its size asks
 NO_CEILING_YET = {
-    ("matrix", "--rows"), ("diag", "--rows"), ("aseq", "--order"),
-    ("bseq", "--order"), ("sqrt-factor", "--order"), ("oeis-compare", "--order"),
-    ("oeis-compare", "--min-match"),
+    ("aseq", "--order"), ("bseq", "--order"), ("sqrt-factor", "--order"),
+    ("oeis-compare", "--order"), ("oeis-compare", "--min-match"),
 }
 
 
@@ -639,6 +663,8 @@ def test_every_size_flag_declares_its_bounds():
         ("check", "--order"): PARTITION_N_LIMIT,
         ("bcomp", "--rows"): BCOMP_ROWS_LIMIT,
         ("bexpand", "--n"): PARTITION_N_LIMIT,
+        ("matrix", "--rows"): TRIANGLE_ROWS_LIMIT,
+        ("diag", "--rows"): TRIANGLE_ROWS_LIMIT,
         **dict.fromkeys(NO_CEILING_YET),
     }
     floors = {key: a.type.floor for key, a in options.items()}

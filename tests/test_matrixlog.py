@@ -29,9 +29,12 @@ from conftest import (
     composition_matrix_oracle,
     composition_sum_oracle,
     generic_log_generator,
+    log_generator_oracle,
+    ring_series,
     rows_of,
     triangle_exp,
 )
+from riordan._backend import kernels
 
 F = Fraction
 
@@ -382,6 +385,54 @@ class TestLogGeneratorOracle:
         _same_series(log_generator(g), generic_log_generator(g))
         with pytest.raises(ValueError, match="needs g to order at least 2"):
             log_generator(rna_series(5).truncate(1))
+
+
+def _typed(series):
+    return series.order, [(type(c), c) for c in series.coeffs]
+
+
+class TestLogGeneratorColumns:
+    """``log_generator``, whose K reads the integer columns of (g, xg)
+    for rational g, against the former body on the ``Fraction``
+    triangle and against ``generic_log_generator``: equal coefficients
+    of equal types, to the same order."""
+
+    @given(data=st.data(), order=st.integers(2, 20))
+    @settings(max_examples=150, deadline=None)
+    def test_rational_rings(self, data, order):
+        g = data.draw(ring_series(order, head=1))
+        got = _typed(log_generator(g))
+        assert got == _typed(log_generator_oracle(g))
+        assert got == _typed(generic_log_generator(g))
+
+    @given(
+        order=st.integers(2, 10),
+        b=st.lists(G_ENTRIES, min_size=1, max_size=5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_param_poly_g(self, order, b):
+        phi = ParamPoly.param()
+        g = from_b_sequence(Series([phi * c for c in b], len(b)), order).g
+        got = _typed(log_generator(g))
+        assert got == _typed(log_generator_oracle(g))
+        assert got == _typed(generic_log_generator(g))
+
+    @pytest.mark.parametrize("order", [2, 3, 7])
+    def test_symbolic_g(self, order):
+        g = symbolic_g(order)
+        assert _typed(log_generator(g)) == _typed(log_generator_oracle(g))
+
+    def test_rational_g_builds_no_triangle_and_no_series_product(self, monkeypatch):
+        gs = [rna_series(24), 1 / S([1, F(-1, 1000)], 24), Series([1, 1], 24).sqrt()]
+        want = [log_generator_oracle(g) for g in gs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rational log_generator left the integer columns")
+
+        monkeypatch.setattr(RiordanMatrix, "triangle", refuse)
+        monkeypatch.setattr(kernels, "mul", refuse)
+        for g, b in zip(gs, want):
+            assert _typed(log_generator(g)) == _typed(b)
 
 
 def symbolic_g(order):
