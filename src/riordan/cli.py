@@ -35,9 +35,9 @@ CHECK_ORDER_MIN = 7
 # 0.6 s at 128 terms of sqrt(1+x), 0.16 s of rna, and grow about as n^4:
 # 3.3 s at 192, 11 s at 256 (in-process, CPython 3.11.7, 2-vCPU VM)
 MATRIX_LOG_N_LIMIT = 128
-# matrix and diag build one triangle, about as rows^4: 4 s at 200 rows
-# of 1/(1-x/1000), 0.3 s of rna (in-process, CPython 3.11.7, 2-vCPU VM)
-TRIANGLE_ROWS_LIMIT = 200
+# matrix and diag build one triangle, about as rows^4: 3.1 s at 160 rows
+# of 1/(1-x/1000), 0.24 s of rna (in-process, CPython 3.11.7, 2-vCPU VM)
+TRIANGLE_ROWS_LIMIT = 160
 
 
 def _rational(text: str) -> Fraction:

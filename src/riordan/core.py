@@ -13,9 +13,8 @@ The distinguished subgroups appear as shapes of the pair: ``(g, g)``
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial
 
-from ._purekernels import _integers, _kronecker_mul
 from .rings import ZERO
 from .series import Series, one_series
 from .triangle import Triangle
@@ -46,22 +45,6 @@ def _as_series(v, order=None):
             raise ValueError("scalar series needs an explicit order")
         return Series([v], order)
     raise TypeError(f"cannot interpret {type(v).__name__} as a series")
-
-
-def _integer_columns(f: Series, g: Series, n: int) -> list[tuple[list, int]]:
-    """Columns 0..n-1 of (f, xg) for rational f and g as reduced integer
-    pairs (P_m, e_m), f g^m = P_m / e_m to n - m terms: column m - 1
-    times g's numerators, one Kronecker product, then one gcd.  So e_m
-    is the lcm of column m's own denominators, not one for all columns."""
-    nums, den = _integers(list(f.coeffs[:n]))
-    y, dy = _integers(list(g.coeffs[:n]))
-    cols = [(nums, den)]
-    for m in range(1, n):
-        nums, den = _kronecker_mul(nums, y, n - m), den * dy
-        r = gcd(den, *nums)
-        nums, den = [c // r for c in nums], den // r
-        cols.append((nums, den))
-    return cols
 
 
 class RiordanMatrix:
@@ -100,21 +83,10 @@ class RiordanMatrix:
     # -- materialization -------------------------------------------------
 
     def triangle(self) -> Triangle:
-        """The explicit lower-triangular array, one row per order.  For a
-        rational pair entry (i, m) is P_m[i - m] / e_m (times i!/m! for
-        the exponential kind) from ``_integer_columns``; otherwise column
-        m is the series f (xg)^m."""
-        n = self.order
-        if self.f.is_rational() and self.g.is_rational():
-            cols = _integer_columns(self.f, self.g, n)
-            s = [factorial(i) if self.kind == EXPONENTIAL else 1 for i in range(n)]
-            return Triangle([
-                [Fraction(cols[m][0][i - m] * s[i], cols[m][1] * s[m]) for m in range(i + 1)]
-                for i in range(n)
-            ])
+        """The explicit lower-triangular array, one row per order."""
         w = self.xg()
         columns = [self.f]
-        for _ in range(1, n):
+        for _ in range(1, self.order):
             columns.append(columns[-1] * w)
         if self.kind == EXPONENTIAL:
             columns = [

@@ -23,10 +23,28 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .core import RiordanMatrix, _integer_columns
+from ._purekernels import _integers, _kronecker_mul
+from .core import RiordanMatrix
 from .rings import ZERO, ParamPoly
 from .series import Series, _power_columns
 from .triangle import CompositionMatrix, Triangle
+
+
+def _integer_columns(g: Series) -> list[tuple[list, int]]:
+    """The n = g.order columns of (g, xg) for rational g as reduced
+    integer pairs (P_m, e_m), g^(m+1) = P_m / e_m to n - m terms: column
+    m - 1 times g's numerators, one Kronecker product, then one gcd.  So
+    e_m is the lcm of column m's own denominators, not one for all."""
+    n = g.order
+    y, dy = _integers(g.coeffs)
+    nums, den = y, dy
+    cols = [(y, dy)]
+    for m in range(1, n):
+        nums, den = _kronecker_mul(nums, y, n - m), den * dy
+        r = gcd(den, *nums)
+        nums, den = [c // r for c in nums], den // r
+        cols.append((nums, den))
+    return cols
 
 
 def log_generator(g: Series) -> Series:
@@ -51,7 +69,7 @@ def log_generator(g: Series) -> Series:
         raise ValueError(f"log_generator needs g to order at least 2, got order {n}")
     rational = g.is_rational()
     if rational:
-        cols = _integer_columns(g, g, n)
+        cols = _integer_columns(g)
         den = lcm(*[e for _, e in cols])
         k = [[cols[m][0][i - m] * (den // cols[m][1]) for m in range(i)] for i in range(n)]
     else:

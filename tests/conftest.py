@@ -11,7 +11,6 @@ from math import factorial, gcd, lcm, perm
 from operator import mul
 
 import pytest
-from hypothesis import strategies as st
 
 from riordan import (
     EXPONENTIAL,
@@ -77,13 +76,12 @@ def bell_log_oracle(g):
 
 def generic_log_generator(g: Series) -> Series:
     """``log_generator`` as n ``Triangle.apply_vec`` products on
-    K = (g, xg) - I in ring arithmetic, the full mat-vec on every row,
-    with the triangle from ``triangle_series_oracle``.  Reference for
-    ``log_generator``, which runs the strictly lower rows on integers
-    over one denominator, or on ring elements over denominator 1 for
-    ``ParamPoly`` g."""
+    K = (g, xg) - I in ring arithmetic, the full mat-vec on every row.
+    Reference for ``log_generator``, which runs the strictly lower rows
+    on integers over one denominator, or on ring elements over
+    denominator 1 for ``ParamPoly`` g."""
     n = g.order
-    k = triangle_series_oracle(RiordanMatrix(g, g)).add(Triangle.identity(n).scale(-1))
+    k = RiordanMatrix(g, g).triangle().add(Triangle.identity(n).scale(-1))
     col, vec = [ZERO] * n, [ONE] + [ZERO] * (n - 1)
     for p in range(1, n):
         vec = k.apply_vec(vec)
@@ -95,9 +93,8 @@ def generic_log_generator(g: Series) -> Series:
 
 def log_generator_oracle(g: Series) -> Series:
     """The former ``log_generator``: the integer mat-vec loop on K read
-    off the ``Fraction`` triangle of (g, g), here built by
-    ``triangle_series_oracle``, with every entry turned back into an
-    integer over the lcm of its denominators.  Reference for
+    off the ``Fraction`` triangle of (g, g), every entry turned back
+    into an integer over the lcm of its denominators.  Reference for
     ``log_generator``, which reads K's rows off ``_integer_columns``
     for rational g."""
     if g[0] != 1:
@@ -105,7 +102,7 @@ def log_generator_oracle(g: Series) -> Series:
     n = g.order
     if n < 2:
         raise ValueError(f"log_generator needs g to order at least 2, got order {n}")
-    lower = [row[:-1] for row in triangle_series_oracle(RiordanMatrix(g, g)).rows]
+    lower = [row[:-1] for row in RiordanMatrix(g, g).triangle().rows]
     rational = g.is_rational()
     if rational:
         den = lcm(*[c.denominator for row in lower for c in row])
@@ -256,58 +253,6 @@ def riordan_triangle_oracle(m):
             row = [columns[k][i] for k in range(i + 1)]
         rows.append(row)
     return Triangle(rows)
-
-
-def triangle_series_oracle(self):
-    """The former ``RiordanMatrix.triangle`` of the matrix ``self``:
-    column m is the series f (xg)^m, one ``Series`` product per column,
-    assembled by ``Triangle.from_columns``.  Reference for
-    ``RiordanMatrix.triangle``, which reads a rational pair off the
-    reduced integer columns of ``_integer_columns``, and still the
-    route it takes for ``ParamPoly`` pairs."""
-    w = self.xg()
-    columns = [self.f]
-    for _ in range(1, self.order):
-        columns.append(columns[-1] * w)
-    if self.kind == EXPONENTIAL:
-        columns = [
-            [c * Fraction(factorial(i), factorial(m)) if c else c
-             for i, c in enumerate(col.coeffs)]
-            for m, col in enumerate(columns)
-        ]
-    return Triangle.from_columns(columns)
-
-
-# denominator of coefficient k in each rational ring the integer routes
-# are tested on: integers, powers of 2 and of 3, harmonic, and the
-# coefficients of 1/(1 - x/1000)
-RING_DENOMINATORS = {
-    "integer": lambda k: 1,
-    "dyadic": lambda k: 2**k,
-    "3-adic": lambda k: 3**k,
-    "harmonic": lambda k: k + 1,
-    "geometric-1000": lambda k: 1000**k,
-}
-
-
-@st.composite
-def ring_series(draw, order, head=None):
-    """A series of the given order over one of ``RING_DENOMINATORS``,
-    numerator k from -5..5 and zero about half the time, so interior
-    terms vanish; ``head`` fixes the constant term."""
-    den = RING_DENOMINATORS[draw(st.sampled_from(sorted(RING_DENOMINATORS)))]
-    nums = draw(st.lists(
-        st.one_of(st.just(0), st.integers(-5, 5)), min_size=order, max_size=order
-    ))
-    if head is not None:
-        nums[0] = head
-    return Series([Fraction(c, den(k)) for k, c in enumerate(nums)], order)
-
-
-def typed_rows(tri):
-    """A triangle's rows as (type, value) pairs, so that equal values of
-    different types differ."""
-    return [[(type(c), c) for c in row] for row in tri.rows]
 
 
 def _compositions(n: int, parts: tuple[int, ...]):

@@ -1,7 +1,7 @@
 """Matrix logarithms and parametric powers of Bell pairs (g, xg)."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,11 +30,12 @@ from conftest import (
     composition_sum_oracle,
     generic_log_generator,
     log_generator_oracle,
-    ring_series,
+    riordan_triangle_oracle,
     rows_of,
     triangle_exp,
 )
 from riordan._backend import kernels
+from riordan.matrixlog import _integer_columns
 
 F = Fraction
 
@@ -320,6 +321,12 @@ def _same_series(got, want):
     assert (got.order, got.coeffs) == (want.order, want.coeffs)
 
 
+def _typed(series):
+    """Order and coefficients as (type, value) pairs, so that equal
+    values of different types differ."""
+    return series.order, [(type(c), c) for c in series.coeffs]
+
+
 class TestLogGeneratorOracle:
     """``log_generator`` on the strictly lower rows against the full
     ring-arithmetic mat-vecs of ``generic_log_generator``, on
@@ -378,7 +385,9 @@ class TestLogGeneratorOracle:
         phi = ParamPoly.param()
         g = from_b_sequence(Series([phi * c for c in b], len(b)), order).g
         assert not g.is_rational()
-        _same_series(log_generator(g), generic_log_generator(g))
+        got = _typed(log_generator(g))
+        assert got == _typed(generic_log_generator(g))
+        assert got == _typed(log_generator_oracle(g))
 
     def test_truncated_window(self):
         g = catalan(20).truncate(9)
@@ -387,15 +396,38 @@ class TestLogGeneratorOracle:
             log_generator(rna_series(5).truncate(1))
 
 
-def _typed(series):
-    return series.order, [(type(c), c) for c in series.coeffs]
+# denominator of coefficient k in each rational ring that
+# ``_integer_columns`` is tested on: integers, powers of 2 and of 3,
+# harmonic, and the coefficients of 1/(1 - x/1000)
+RING_DENOMINATORS = {
+    "integer": lambda k: 1,
+    "dyadic": lambda k: 2**k,
+    "3-adic": lambda k: 3**k,
+    "harmonic": lambda k: k + 1,
+    "geometric-1000": lambda k: 1000**k,
+}
+
+
+@st.composite
+def ring_series(draw, order, head=None):
+    """A series of the given order over one of ``RING_DENOMINATORS``,
+    numerator k from -5..5 and zero about half the time, so interior
+    terms vanish; ``head`` fixes the constant term."""
+    den = RING_DENOMINATORS[draw(st.sampled_from(sorted(RING_DENOMINATORS)))]
+    nums = draw(st.lists(
+        st.one_of(st.just(0), st.integers(-5, 5)), min_size=order, max_size=order
+    ))
+    if head is not None:
+        nums[0] = head
+    return Series([Fraction(c, den(k)) for k, c in enumerate(nums)], order)
 
 
 class TestLogGeneratorColumns:
     """``log_generator``, whose K reads the integer columns of (g, xg)
     for rational g, against the former body on the ``Fraction``
     triangle and against ``generic_log_generator``: equal coefficients
-    of equal types, to the same order."""
+    of equal types, to the same order (``ParamPoly`` g is
+    ``TestLogGeneratorOracle.test_b_composition_power``)."""
 
     @given(data=st.data(), order=st.integers(2, 20))
     @settings(max_examples=150, deadline=None)
@@ -405,22 +437,26 @@ class TestLogGeneratorColumns:
         assert got == _typed(log_generator_oracle(g))
         assert got == _typed(generic_log_generator(g))
 
-    @given(
-        order=st.integers(2, 10),
-        b=st.lists(G_ENTRIES, min_size=1, max_size=5),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_param_poly_g(self, order, b):
-        phi = ParamPoly.param()
-        g = from_b_sequence(Series([phi * c for c in b], len(b)), order).g
-        got = _typed(log_generator(g))
-        assert got == _typed(log_generator_oracle(g))
-        assert got == _typed(generic_log_generator(g))
+    @given(data=st.data(), order=st.integers(1, 16))
+    @settings(max_examples=100, deadline=None)
+    def test_column_denominators_are_graded(self, data, order):
+        # e_m is the lcm of the reduced denominators of column m alone,
+        # not one denominator shared by every column
+        g = data.draw(ring_series(order))
+        tri = riordan_triangle_oracle(RiordanMatrix(g, g))
+        cols = _integer_columns(g)
+        assert len(cols) == order
+        for m, (nums, e) in enumerate(cols):
+            assert len(nums) == order - m
+            assert e == lcm(*[tri.entry(i, m).denominator for i in range(m, order)])
 
-    @pytest.mark.parametrize("order", [2, 3, 7])
-    def test_symbolic_g(self, order):
-        g = symbolic_g(order)
-        assert _typed(log_generator(g)) == _typed(log_generator_oracle(g))
+    def test_geometric_denominators_fall_by_column(self):
+        # column m of (1/(1-x/3), x/(1-x/3)) to 8 rows reads
+        # C(m+k, k)/3^k for k < 8 - m, so its denominator divides
+        # 3^(7-m); one shared denominator would be 3^7 on every column
+        dens = [e for _, e in _integer_columns(1 / S([1, F(-1, 3)], 8))]
+        assert dens[0] == 3**7 and dens[-1] == 1
+        assert all(3 ** (7 - m) % e == 0 for m, e in enumerate(dens))
 
     def test_rational_g_builds_no_triangle_and_no_series_product(self, monkeypatch):
         gs = [rna_series(24), 1 / S([1, F(-1, 1000)], 24), Series([1, 1], 24).sqrt()]

@@ -1,7 +1,6 @@
 """Riordan matrices: materialization, group law, A/B-sequences, factorization."""
 
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,14 +27,9 @@ from conftest import (
     b_sequence_oracle,
     from_b_sequence_oracle,
     is_pseudo_involution_oracle,
-    RING_DENOMINATORS,
-    ring_series,
     riordan_triangle_oracle,
     rows_of,
-    triangle_series_oracle,
-    typed_rows,
 )
-from riordan.core import _integer_columns
 
 F = Fraction
 
@@ -455,85 +449,6 @@ class TestTriangleOracle:
     def test_matches_row_loop(self, f, g, order, kind):
         m = RiordanMatrix(Series(f, order), Series(g, order), kind=kind)
         assert m.triangle().rows == riordan_triangle_oracle(m).rows
-
-
-def _ring_pair(data, order, shape):
-    """f and g of the given order over the rings of ``ring_series``:
-    independent, equal (a Bell pair), or with f(0) = 0 or g(0) = 0."""
-    f, g = data.draw(ring_series(order)), data.draw(ring_series(order))
-    if shape == "bell":
-        f = g
-    elif shape == "f(0)=0":
-        f = Series([0, *f.coeffs[1:]], order)
-    elif shape == "g(0)=0":
-        g = Series([0, *g.coeffs[1:]], order)
-    return f, g
-
-
-SHAPES = st.sampled_from(["independent", "bell", "f(0)=0", "g(0)=0"])
-KINDS = st.sampled_from([ORDINARY, EXPONENTIAL])
-
-
-class TestIntegerColumns:
-    """``triangle`` of a rational pair, read off ``_integer_columns``,
-    against the row loop and the former column loop of ``Series``
-    products: equal values of equal types."""
-
-    @given(data=st.data(), order=st.integers(1, 16), shape=SHAPES, kind=KINDS)
-    @settings(max_examples=150, deadline=None)
-    def test_matches_series_loops(self, data, order, shape, kind):
-        m = RiordanMatrix(*_ring_pair(data, order, shape), kind=kind)
-        got = typed_rows(m.triangle())
-        assert got == typed_rows(riordan_triangle_oracle(m))
-        assert got == typed_rows(triangle_series_oracle(m))
-
-    @pytest.mark.parametrize("order", [1, 2])
-    @pytest.mark.parametrize("kind", [ORDINARY, EXPONENTIAL])
-    @pytest.mark.parametrize("ring", sorted(RING_DENOMINATORS))
-    def test_orders_one_and_two(self, order, kind, ring):
-        den = RING_DENOMINATORS[ring]
-        f = Series([Fraction(-3, den(k)) for k in range(order)], order)
-        g = Series([Fraction(k + 2, den(k)) for k in range(order)], order)
-        m = RiordanMatrix(f, g, kind=kind)
-        assert typed_rows(m.triangle()) == typed_rows(triangle_series_oracle(m))
-
-    def test_large_order_on_wide_denominators(self):
-        g = 1 / S([1, F(-1, 1000)], 40)
-        f = Series([1, 0, F(1, 3)], 40).sqrt()
-        for kind in (ORDINARY, EXPONENTIAL):
-            m = RiordanMatrix(f, g, kind=kind)
-            assert typed_rows(m.triangle()) == typed_rows(triangle_series_oracle(m))
-
-    @given(data=st.data(), order=st.integers(1, 16), shape=SHAPES)
-    @settings(max_examples=100, deadline=None)
-    def test_column_denominators_are_graded(self, data, order, shape):
-        # e_m is the lcm of the reduced denominators of column m alone,
-        # not one denominator shared by every column
-        f, g = _ring_pair(data, order, shape)
-        tri = riordan_triangle_oracle(RiordanMatrix(f, g))
-        cols = _integer_columns(f, g, order)
-        assert len(cols) == order
-        for m, (nums, e) in enumerate(cols):
-            assert len(nums) == order - m
-            assert e == lcm(*[tri.entry(i, m).denominator for i in range(m, order)])
-
-    def test_geometric_denominators_fall_by_column(self):
-        # column m of (1/(1-x/3), x/(1-x/3)) to 8 rows reads
-        # C(m+k, k)/3^k for k < 8 - m, so its denominator divides
-        # 3^(7-m); one shared denominator would be 3^7 on every column
-        g = 1 / S([1, F(-1, 3)], 8)
-        dens = [e for _, e in _integer_columns(g, g, 8)]
-        assert dens[0] == 3**7 and dens[-1] == 1
-        assert all(3 ** (7 - m) % e == 0 for m, e in enumerate(dens))
-
-    @pytest.mark.parametrize("kind", [ORDINARY, EXPONENTIAL])
-    def test_param_poly_pair_keeps_series_loop(self, kind):
-        t = ParamPoly.param("t")
-        g = Series([1, t, F(1, 2), 0, F(-2, 3)], 5)
-        for f in (g, S([1, 2, F(1, 4), 0, 1])):
-            m = RiordanMatrix(f, g, kind=kind)
-            assert typed_rows(m.triangle()) == typed_rows(triangle_series_oracle(m))
-            assert m.triangle().rows == riordan_triangle_oracle(m).rows
 
 
 class TestSqrtFactorization:
