@@ -118,10 +118,10 @@ class RiordanMatrix:
             raise ValueError("the inverse needs f(0) != 0")
         if not self.g[0]:
             raise ValueError("the inverse needs g(0) != 0")
+        # wbar g(wbar) = x for wbar = revert(xg), so 1/g(wbar) = wbar/x
         wbar = self.xg(extend=True).revert()
-        f = 1 / self.f.compose(wbar)
-        ginv = 1 / self.g.compose(wbar)
-        # second component of the inverse is revert(xg) = x * (1/g(wbar))
+        ginv = wbar.shift_down(1)
+        f = ginv if self.f == self.g else 1 / self.f.compose(wbar)
         return RiordanMatrix(f, ginv, self.kind)
 
     def __eq__(self, other):
@@ -151,8 +151,8 @@ class RiordanMatrix:
         """The series A with g = A(x g): the row-building rule."""
         if not self.g[0]:
             raise ValueError("the A-sequence needs g(0) != 0")
-        wbar = self.xg(extend=True).revert()
-        return self.g.compose(wbar)
+        # g(wbar) = x/wbar, as wbar g(wbar) = x for wbar = revert(xg)
+        return 1 / self.xg(extend=True).revert().shift_down(1)
 
     # -- pseudo-involution and B-sequence --------------------------------
 
@@ -221,14 +221,14 @@ class RiordanMatrix:
                 "factorization inconsistency: input is not a "
                 f"pseudo-involution to order {self.order}"
             )
-        r = self.g.sqrt()
-        w = r.shift_up(1, extend=True).revert()
-        h = r.compose(w)
+        # h = r(w) = x/w, as w r(w) = x for w = revert(x r), r = sqrt(g)
+        w_x = self.g.sqrt().shift_up(1, extend=True).revert().shift_down(1)
+        h = 1 / w_x
         if h * h.alternate() != one_series(h.order):
             raise FactorizationError(
                 "factorization inconsistency: h(x) h(-x) != 1"
             )
-        return h, (h - 1 / h) / 2
+        return h, (h - w_x) / 2
 
 
 # -- constructions from defining sequences ------------------------------

@@ -11,10 +11,12 @@ from math import factorial, gcd, lcm, perm
 from operator import mul
 
 import pytest
+from hypothesis import strategies as st
 
 from riordan import (
     EXPONENTIAL,
     ORDINARY,
+    FactorizationError,
     NoBSequenceError,
     ParamPoly,
     RiordanMatrix,
@@ -129,6 +131,32 @@ def log_generator_oracle(g: Series) -> Series:
     if rational:
         return Series([Fraction(c, cden) for c in col[1:]], n - 1)
     return Series([c * Fraction(1, cden) for c in col[1:]], n - 1)
+
+
+# denominator of coefficient k in each rational ring that
+# ``ring_series`` draws from: integers, powers of 2 and of 3,
+# harmonic, and the coefficients of 1/(1 - x/1000)
+RING_DENOMINATORS = {
+    "integer": lambda k: 1,
+    "dyadic": lambda k: 2**k,
+    "3-adic": lambda k: 3**k,
+    "harmonic": lambda k: k + 1,
+    "geometric-1000": lambda k: 1000**k,
+}
+
+
+@st.composite
+def ring_series(draw, order, head=None):
+    """A series of the given order over one of ``RING_DENOMINATORS``,
+    numerator k from -5..5 and zero about half the time, so interior
+    terms vanish; ``head`` fixes the constant term."""
+    den = RING_DENOMINATORS[draw(st.sampled_from(sorted(RING_DENOMINATORS)))]
+    nums = draw(st.lists(
+        st.one_of(st.just(0), st.integers(-5, 5)), min_size=order, max_size=order
+    ))
+    if head is not None:
+        nums[0] = head
+    return Series([Fraction(c, den(k)) for k, c in enumerate(nums)], order)
 
 
 def sqrt_oracle(s: Series) -> Series:
@@ -307,12 +335,65 @@ def triangle_exp(tri):
     return acc
 
 
+def inverse_oracle(m):
+    """The former ``RiordanMatrix.inverse``: (1/f(wbar), 1/g(wbar)) with
+    wbar = revert(xg), two ``compose`` and two divisions.  Reference for
+    ``inverse``, which reads 1/g(wbar) = wbar/x off the reversion."""
+    if not m.f[0]:
+        raise ValueError("the inverse needs f(0) != 0")
+    if not m.g[0]:
+        raise ValueError("the inverse needs g(0) != 0")
+    wbar = m.xg(extend=True).revert()
+    f = 1 / m.f.compose(wbar)
+    ginv = 1 / m.g.compose(wbar)
+    # second component of the inverse is revert(xg) = x * (1/g(wbar))
+    return RiordanMatrix(f, ginv, m.kind)
+
+
+def a_sequence_oracle(m):
+    """The former ``RiordanMatrix.a_sequence``: g(wbar) with
+    wbar = revert(xg), one ``compose``.  Reference for ``a_sequence``,
+    which reads g(wbar) = x/wbar off the reversion."""
+    if not m.g[0]:
+        raise ValueError("the A-sequence needs g(0) != 0")
+    wbar = m.xg(extend=True).revert()
+    return m.g.compose(wbar)
+
+
+def sqrt_factorization_oracle(m):
+    """The former ``RiordanMatrix.sqrt_factorization``: h = r(w) with
+    r = sqrt(g) and w = revert(x r), one ``compose``, and
+    s = (h - 1/h)/2.  Reference for ``sqrt_factorization``, which reads
+    h = x/w off the reversion."""
+    if m.f != one_series(m.order):
+        raise FactorizationError(
+            "factorization inconsistency: first component must be 1"
+        )
+    if m.g[0] != 1:
+        raise FactorizationError(
+            "factorization inconsistency: g must have constant term 1"
+        )
+    if not m.is_pseudo_involution():
+        raise FactorizationError(
+            "factorization inconsistency: input is not a "
+            f"pseudo-involution to order {m.order}"
+        )
+    r = m.g.sqrt()
+    w = r.shift_up(1, extend=True).revert()
+    h = r.compose(w)
+    if h * h.alternate() != one_series(h.order):
+        raise FactorizationError(
+            "factorization inconsistency: h(x) h(-x) != 1"
+        )
+    return h, (h - 1 / h) / 2
+
+
 def is_pseudo_involution_oracle(m):
     """Pseudo-involution test through the group inverse: M^-1 equals
     the sign conjugate (f(-x), g(-x)).  Costs a ``revert``, two
     ``compose`` and two divisions, and raises ``ValueError`` on a
     singular input (f(0) = 0 or g(0) = 0).  Reference for ``is_pseudo_involution``."""
-    inv = m.inverse()
+    inv = inverse_oracle(m)
     return inv.f == m.f.alternate() and inv.g == m.g.alternate()
 
 

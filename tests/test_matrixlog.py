@@ -31,6 +31,7 @@ from conftest import (
     generic_log_generator,
     log_generator_oracle,
     riordan_triangle_oracle,
+    ring_series,
     rows_of,
     triangle_exp,
 )
@@ -394,32 +395,6 @@ class TestLogGeneratorOracle:
         _same_series(log_generator(g), generic_log_generator(g))
         with pytest.raises(ValueError, match="needs g to order at least 2"):
             log_generator(rna_series(5).truncate(1))
-
-
-# denominator of coefficient k in each rational ring that
-# ``_integer_columns`` is tested on: integers, powers of 2 and of 3,
-# harmonic, and the coefficients of 1/(1 - x/1000)
-RING_DENOMINATORS = {
-    "integer": lambda k: 1,
-    "dyadic": lambda k: 2**k,
-    "3-adic": lambda k: 3**k,
-    "harmonic": lambda k: k + 1,
-    "geometric-1000": lambda k: 1000**k,
-}
-
-
-@st.composite
-def ring_series(draw, order, head=None):
-    """A series of the given order over one of ``RING_DENOMINATORS``,
-    numerator k from -5..5 and zero about half the time, so interior
-    terms vanish; ``head`` fixes the constant term."""
-    den = RING_DENOMINATORS[draw(st.sampled_from(sorted(RING_DENOMINATORS)))]
-    nums = draw(st.lists(
-        st.one_of(st.just(0), st.integers(-5, 5)), min_size=order, max_size=order
-    ))
-    if head is not None:
-        nums[0] = head
-    return Series([Fraction(c, den(k)) for k, c in enumerate(nums)], order)
 
 
 class TestLogGeneratorColumns:

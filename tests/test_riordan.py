@@ -24,12 +24,17 @@ from riordan import (
 )
 from conftest import (
     S,
+    a_sequence_oracle,
     b_sequence_oracle,
     from_b_sequence_oracle,
+    inverse_oracle,
     is_pseudo_involution_oracle,
+    ring_series,
     riordan_triangle_oracle,
     rows_of,
+    sqrt_factorization_oracle,
 )
+from riordan._backend import kernels
 
 F = Fraction
 
@@ -502,6 +507,101 @@ class TestSqrtFactorization:
     def test_requires_pseudo_involution(self):
         with pytest.raises(FactorizationError, match="pseudo-involution"):
             RiordanMatrix(one_series(8), catalan(8)).sqrt_factorization()
+
+
+def _typed_outcome(call):
+    """A result as comparable data: the order and (type, value)
+    coefficients of each series in it, or (exception type, message)."""
+    try:
+        r = call()
+    except Exception as exc:  # type and message are both compared
+        return type(exc), str(exc)
+    if isinstance(r, RiordanMatrix):
+        r = (r.f, r.g, r.kind)
+    elif isinstance(r, Series):
+        r = (r,)
+    return [(s.order, [(type(c), c) for c in s.coeffs]) if isinstance(s, Series) else s
+            for s in r]
+
+
+@st.composite
+def identity_f(draw, g):
+    """f == 1, f == g, or an f != g from ``ring_series``."""
+    shape = draw(st.sampled_from(["one", "bell", "other"]))
+    if shape == "one":
+        return one_series(g.order)
+    if shape == "bell":
+        return g
+    return draw(ring_series(g.order, head=draw(st.sampled_from([1, -2, 3]))))
+
+
+def _param_g(b, order):
+    """g^[phi] from ``from_b_sequence(phi B)``: ``ParamPoly`` coefficients."""
+    phi = ParamPoly.param()
+    return from_b_sequence(Series([phi * c for c in b]), order).g
+
+
+class TestReversionIdentities:
+    """``inverse``, ``a_sequence`` and ``sqrt_factorization`` read
+    u(w) = x/w off w = revert(x u) instead of composing; each equals its
+    former body in ``conftest`` exactly: values, coefficient types and
+    order, or the same exception."""
+
+    @staticmethod
+    def _same_as_oracles(m):
+        assert _typed_outcome(m.inverse) == _typed_outcome(lambda: inverse_oracle(m))
+        assert _typed_outcome(m.a_sequence) == _typed_outcome(lambda: a_sequence_oracle(m))
+        got = _typed_outcome(m.sqrt_factorization)
+        assert got == _typed_outcome(lambda: sqrt_factorization_oracle(m))
+
+    @given(data=st.data(), order=st.integers(1, 24))
+    @settings(max_examples=200, deadline=None)
+    def test_rational_rings(self, data, order):
+        g = data.draw(ring_series(order, head=data.draw(st.sampled_from([1, -2, 3, 0]))))
+        kind = data.draw(st.sampled_from([ORDINARY, EXPONENTIAL]))
+        self._same_as_oracles(RiordanMatrix(data.draw(identity_f(g)), g, kind))
+
+    @given(data=st.data(), order=st.integers(1, 24))
+    @settings(max_examples=100, deadline=None)
+    def test_rational_pseudo_involutions(self, data, order):
+        b = data.draw(ring_series(data.draw(st.integers(1, 5))))
+        g = from_b_sequence(b, order).g
+        self._same_as_oracles(RiordanMatrix(data.draw(identity_f(g)), g))
+
+    @given(data=st.data(), order=st.integers(1, 12), b=B_LISTS)
+    @settings(max_examples=40, deadline=None)
+    def test_param_poly(self, data, order, b):
+        g = _param_g(b, order)
+        self._same_as_oracles(RiordanMatrix(data.draw(identity_f(g)), g))
+
+    def test_param_poly_order_24(self):
+        g = _param_g([1], 24)
+        for f in (one_series(24), g, S([1, F(1, 2), 3], 24)):
+            self._same_as_oracles(RiordanMatrix(f, g))
+
+    def test_makes_no_compose_call(self, monkeypatch):
+        # is_pseudo_involution still composes, so it is answered up front
+        pairs = [
+            RiordanMatrix(one_series(24), rna_series(24)),
+            RiordanMatrix(one_series(24), from_b_sequence(S([1, F(1, 3), -2]), 24).g),
+            RiordanMatrix(one_series(24), 1 / S([1, -3], 24)),
+        ]
+        assert all(m.is_pseudo_involution() for m in pairs)
+        g = 1 / S([1, F(-1, 1000)], 24)
+        bell = RiordanMatrix(g, g)
+        want = [_typed_outcome(lambda: sqrt_factorization_oracle(m)) for m in pairs]
+        want_a = [_typed_outcome(lambda: a_sequence_oracle(m)) for m in pairs + [bell]]
+        want_inv = _typed_outcome(lambda: inverse_oracle(bell))
+        assert all(isinstance(w, list) for w in want + want_a + [want_inv])  # none raised
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compose called")
+
+        monkeypatch.setattr(kernels, "compose", refuse)
+        monkeypatch.setattr(RiordanMatrix, "is_pseudo_involution", lambda self: True)
+        assert [_typed_outcome(m.sqrt_factorization) for m in pairs] == want
+        assert [_typed_outcome(m.a_sequence) for m in pairs + [bell]] == want_a
+        assert _typed_outcome(bell.inverse) == want_inv
 
 
 class TestOddPowerFamilies:
