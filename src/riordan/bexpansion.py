@@ -326,8 +326,8 @@ def bcomp_matrix(b: Series, order: int) -> BCompMatrix:
     g = 1 + x g * phi B(x^2 g); entry (n, m) is zero when n - m is odd,
     and column 1 carries x B(x^2).  Entry (n, q) is
     ((n+q)/2)_{q-1} S_q(n), read off one table of :func:`_sums_table`."""
-    if order > BCOMP_ROWS_LIMIT:
-        raise ValueError(f"<B> is limited to {BCOMP_ROWS_LIMIT} rows")
+    if not 1 <= order <= BCOMP_ROWS_LIMIT:
+        raise ValueError(f"<B> needs at least 1 row and is limited to {BCOMP_ROWS_LIMIT} rows")
     table, d, lcms = _sums_table(_b_coeffs(b, max(order // 2, 1)), order)
     # ((n+q)/2)_{q-1} / (q! d^q L[w]) = C(w + q, q - 1) / (q d^q L[w])
     powers = [1]
@@ -427,7 +427,7 @@ def dissection_matrix(order: int) -> Triangle:
     Rows F_n of this triangle reproduce rows of <C(x)> via
     row n+1 of <C> = F_n(x^2) / x^{n-1}.
     """
-    cols = [[ONE] + [ZERO] * (order - 1)]
+    cols = [[ONE] + [ZERO] * (order - 1)] if order > 0 else []
     for m in range(1, order):
         t = dissection_poly(m - 1).coeffs
         col = [ZERO] * order

@@ -9,6 +9,7 @@ when a check or comparison fails, 2 with one ``error:`` line on bad input.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -41,10 +42,13 @@ TRIANGLE_ROWS_LIMIT = 160
 
 
 def _rational(text: str) -> Fraction:
+    """An exact rational written ``p`` or ``p/q``, p and q integers."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+        if re.fullmatch(r"[-+]?[0-9]+(/[0-9]+)?", text):
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # q = 0, or past the int digit limit
+        pass
+    raise argparse.ArgumentTypeError(f"not a rational p or p/q: {text!r}")
 
 
 class _BoundedInt:
@@ -87,7 +91,11 @@ def _identifier(text: str) -> str:
 
 class _Parser(argparse.ArgumentParser):
     """Reports every usage error as one line, ``error: <message>``, and
-    exit status 2."""
+    exit status 2; takes no abbreviated flag, so that ``--f`` is never
+    read as ``--format``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         self.exit(2, f"error: {message}\n")
@@ -125,6 +133,14 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_power(args) -> int:
+    # [x^k] is a degree-k polynomial in phi: its digits grow as k times phi's
+    digits = len(str(max(abs(args.phi.numerator), args.phi.denominator)))
+    limit = sys.get_int_max_str_digits()
+    if limit and digits * (args.order - 1) > limit:
+        raise ValueError(
+            f"--phi of {digits} digits at --order {args.order} passes the"
+            f" {limit}-digit output limit"
+        )
     g = _series(args.g, args.order)
     _emit(args, format_series(bell_power(g, args.phi), args.format, args.header))
     return 0

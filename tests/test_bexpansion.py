@@ -396,6 +396,14 @@ class TestBCompMatrix:
         with pytest.raises(ValueError, match=f"limited to {BCOMP_ROWS_LIMIT} rows$"):
             bcomp_matrix(S([1, 1]), BCOMP_ROWS_LIMIT + 1)
 
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_row_floor(self, order):
+        # below one row is a ValueError, as every sized entry point raises
+        with pytest.raises(ValueError, match="needs at least 1 row"):
+            bcomp_matrix(B_CATALAN, order)
+        with pytest.raises(ValueError, match="needs at least 1 row"):
+            is_appell_type(B_CATALAN, order)
+
     def test_enumerates_no_partitions(self):
         before = _odd_mults_cached.cache_info()
         bcomp_matrix(B_MIXED.pad_zeros(20), 41)
@@ -655,6 +663,11 @@ class TestNarayanaAndDissection:
 
     def test_dissection_matrix_display(self):
         assert rows_of(dissection_matrix(8)) == DISSECTION_ROWS
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_dissection_matrix_has_order_rows(self, order):
+        # as many rows as narayana_triangle: none at order 0
+        assert dissection_matrix(order).nrows == narayana_triangle(order).nrows == order
 
     def test_dissection_columns(self):
         # Column m+1 holds x^{m+1} (1+x) T_m(x).

@@ -618,6 +618,9 @@ class TestErrorHandling:
         (["oeis-compare", "--vendored", "A097724", "--values", "1", "--format", "csv"],
          "unrecognized arguments: --format csv"),
         (["sqrt-factor", "--g", "rna", "--header"], "unrecognized arguments: --header"),
+        (["sqrt-factor", "--f", "1", "--g", "rna"], "unrecognized arguments: --f 1"),
+        (["bcomp", "--b", "catalan", "--r", "3"], "unrecognized arguments: --r 3"),
+        (["power", "--g", "rna", "--phi", "0.5"], "--phi: not a rational p or p/q: '0.5'"),
     ],
     ids=[
         "non-integer", "below-floor", "below-floor-min-match", "non-integer-values",
@@ -626,12 +629,34 @@ class TestErrorHandling:
         "missing-command", "unknown-command", "invalid-direction", "invalid-suite",
         "suite-and-all", "symbol-digit", "symbol-empty", "check-format",
         "check-header", "oeis-compare-format", "sqrt-factor-header",
+        "abbreviated-f", "abbreviated-rows", "decimal-phi",
     ],
 )
 def test_bad_flag_is_one_line(capsys, argv, names):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert names in err
+
+
+@pytest.mark.parametrize(
+    "phi, order, names",
+    [
+        # exponent syntax: Fraction alone spends over 20 s parsing it
+        ("1e100000000", 12, "--phi: not a rational p or p/q: '1e100000000'"),
+        # the most digits that parse, at the largest order
+        ("9" * 4300, MATRIX_LOG_N_LIMIT, "--phi of 4300 digits at --order 128 passes"),
+        ("1/" + "9" * 4300, MATRIX_LOG_N_LIMIT, "--phi of 4300 digits"),
+        ("3" * 34, MATRIX_LOG_N_LIMIT, "--phi of 34 digits at --order 128 passes"),
+    ],
+    ids=["exponent", "numerator-4300", "denominator-4300", "digits-times-order"],
+)
+def test_hostile_phi_is_refused_before_any_work(capsys, phi, order, names):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "power", "--g", "rna", f"--phi={phi}", f"--order={order}")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert names in err
 
 
