@@ -351,6 +351,8 @@ def bcomp_matrix(b: Series, order: int) -> BCompMatrix:
 
 def narayana(n: int, symbol: str = "x") -> ParamPoly:
     """Narayana polynomial: N_0 = 1, N_n = (1/n) sum binom(n,m-1) binom(n,m) x^m."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if n == 0:
         return ParamPoly.const(1, symbol)
     coeffs = [
@@ -371,6 +373,8 @@ def narayana_triangle(order: int) -> Triangle:
 
 def rna_row_closed(n: int, symbol: str = "x") -> ParamPoly:
     """Closed form for row n of <1/(1-x)> (the RNA composition matrix)."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     coeffs = [ZERO] * (n + 1)
     if n == 0:
         return ParamPoly.const(1, symbol)
@@ -414,6 +418,8 @@ def bcomp_entry_catalan(n: int, m: int) -> Fraction:
 def dissection_poly(n: int, symbol: str = "x") -> ParamPoly:
     """Polygon-dissection polynomial:
     T_n = (1/(n+1)) sum binom(n+1, m+1) binom(n+m+2, m) x^m."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     coeffs = [
         Fraction(comb(n + 1, m + 1) * comb(n + m + 2, m), n + 1)
         for m in range(n + 1)

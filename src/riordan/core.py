@@ -99,12 +99,13 @@ class RiordanMatrix:
     # -- group structure -------------------------------------------------
 
     def multiply(self, other: "RiordanMatrix") -> "RiordanMatrix":
-        """Matrix product; composes the second components."""
+        """Matrix product; a product of Bell pairs is one, so composes once."""
         if self.kind != other.kind:
             raise ValueError("cannot multiply matrices of different kinds")
         w = self.xg(extend=True)
-        f = self.f * other.f.compose(w)
         g = self.g * other.g.compose(w)
+        bell = self.f == self.g and other.f == other.g
+        f = g if bell else self.f * other.f.compose(w)
         return RiordanMatrix(f, g, self.kind)
 
     def __mul__(self, other):
@@ -157,17 +158,15 @@ class RiordanMatrix:
     # -- pseudo-involution and B-sequence --------------------------------
 
     def is_pseudo_involution(self) -> bool:
-        """Whether ``M (D M D) = I``, D the diagonal sign matrix.
+        """Whether ``M^-1 = D M D`` with D = (1, -x): D M D = (f(-x), x g(-x)).
 
-        D M D = (f(-x), x g(-x)), so the product is (f * f(-xg),
-        xg * g(-xg)), and both factors must be 1 to the stored order.
-        A singular input (f(0) = 0 or g(0) = 0) fails at x^0.
+        The diagonal of M (D M D) is f(0)^2 g(0)^(2m), so f(0)^2 = g(0)^2 = 1
+        is checked first; a singular input (f(0) = 0 or g(0) = 0) fails it.
         """
-        one = one_series(self.order)
-        w = -self.xg()
-        if self.g * self.g.compose(w) != one:
+        if self.f[0] ** 2 != 1 or self.g[0] ** 2 != 1:
             return False
-        return self.f == self.g or self.f * self.f.compose(w) == one
+        dmd = RiordanMatrix(self.f.alternate(), self.g.alternate(), self.kind)
+        return self.inverse() == dmd
 
     def b_sequence(self) -> Series:
         """Extract the B-sequence: g = 1 + x g * B(x^2 g).
@@ -192,10 +191,11 @@ class RiordanMatrix:
             raise NoBSequenceError(
                 "no consistent B-sequence: a B-sequence needs order at least 2"
             )
-        rest = (self.g - 1).shift_down(1) / self.g
+        ginv = 1 / self.g
+        rest = (self.g - 1).shift_down(1) * ginv
         terms = [rest[0]]
         while rest.order > 2:
-            rest = (rest - terms[-1]).shift_down(2) / self.g
+            rest = (rest - terms[-1]).shift_down(2) * ginv
             terms.append(rest[0])
         return Series(terms, len(terms))
 

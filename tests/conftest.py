@@ -397,6 +397,18 @@ def is_pseudo_involution_oracle(m):
     return inv.f == m.f.alternate() and inv.g == m.g.alternate()
 
 
+def is_pseudo_involution_product_oracle(m):
+    """The former ``RiordanMatrix.is_pseudo_involution``: M (D M D) = I
+    as f * f(-xg) = 1 and g * g(-xg) = 1, two ``compose`` (one when
+    f == g).  Reference for ``is_pseudo_involution``, which compares
+    the group inverse with D M D."""
+    one = one_series(m.order)
+    w = -m.xg()
+    if m.g * m.g.compose(w) != one:
+        return False
+    return m.f == m.g or m.f * m.f.compose(w) == one
+
+
 def _verify_b_oracle(tri, terms, min_col):
     for n in range(tri.nrows - 1):
         for m in range(min_col, n + 2):

@@ -558,9 +558,13 @@ class TestPowerColumnReaders:
         (lambda: bcomp_row_from_convolutions(catalan(5), -1), "n must be non-negative"),
         (lambda: exp_lagrange_diagonal(catalan(5), -1, 3), "n must be non-negative"),
         (lambda: rna_series(0), "series order must be at least 1"),
+        (lambda: narayana(-1), "n must be non-negative"),
+        (lambda: rna_row_closed(-1), "n must be non-negative"),
+        (lambda: dissection_poly(-1), "n must be non-negative"),
     ],
     ids=["a_expand", "power_poly", "bcomp_row_from_convolutions",
-         "exp_lagrange_diagonal", "rna_series"],
+         "exp_lagrange_diagonal", "rna_series", "narayana", "rna_row_closed",
+         "dissection_poly"],
 )
 def test_out_of_range_size_names_the_input(call, message):
     # the messages b_expand(b, -1) and catalan(0) give

@@ -29,6 +29,7 @@ from conftest import (
     from_b_sequence_oracle,
     inverse_oracle,
     is_pseudo_involution_oracle,
+    is_pseudo_involution_product_oracle,
     ring_series,
     riordan_triangle_oracle,
     rows_of,
@@ -580,7 +581,8 @@ class TestReversionIdentities:
             self._same_as_oracles(RiordanMatrix(f, g))
 
     def test_makes_no_compose_call(self, monkeypatch):
-        # is_pseudo_involution still composes, so it is answered up front
+        # on (1, xg) is_pseudo_involution calls inverse, which composes
+        # f = 1, so it is answered up front
         pairs = [
             RiordanMatrix(one_series(24), rna_series(24)),
             RiordanMatrix(one_series(24), from_b_sequence(S([1, F(1, 3), -2]), 24).g),
@@ -602,6 +604,112 @@ class TestReversionIdentities:
         assert [_typed_outcome(m.sqrt_factorization) for m in pairs] == want
         assert [_typed_outcome(m.a_sequence) for m in pairs + [bell]] == want_a
         assert _typed_outcome(bell.inverse) == want_inv
+
+
+class TestPseudoInvolutionByInverse:
+    """``is_pseudo_involution`` checks the diagonal f(0)^2 = g(0)^2 = 1
+    of M (D M D), then compares M^-1 from ``inverse`` with D M D.  It
+    equals its former two-compose body exactly, and the group-inverse
+    oracle wherever that oracle's inverse exists."""
+
+    @staticmethod
+    def _same_as_oracles(m):
+        got = _outcome(m.is_pseudo_involution)
+        assert got == _outcome(lambda: is_pseudo_involution_product_oracle(m))
+        want = _outcome(lambda: is_pseudo_involution_oracle(m))
+        assert got == (False if _singular(want) else want)
+        return got
+
+    @given(data=st.data(), order=st.integers(1, 24))
+    @settings(max_examples=200, deadline=None)
+    def test_rational_rings(self, data, order):
+        g = data.draw(ring_series(order, head=data.draw(st.sampled_from([1, -1, 2, 0]))))
+        f = data.draw(st.one_of(identity_f(g), ring_series(order, head=0)))
+        kind = data.draw(st.sampled_from([ORDINARY, EXPONENTIAL]))
+        self._same_as_oracles(RiordanMatrix(f, g, kind))
+
+    @given(data=st.data(), order=st.integers(1, 24))
+    @settings(max_examples=100, deadline=None)
+    def test_rational_pseudo_involutions(self, data, order):
+        b = data.draw(ring_series(data.draw(st.integers(1, 5))))
+        g = from_b_sequence(b, order).g
+        f = data.draw(identity_f(g))
+        kind = data.draw(st.sampled_from([ORDINARY, EXPONENTIAL]))
+        got = self._same_as_oracles(RiordanMatrix(f, g, kind))
+        if f == g or f == one_series(order):
+            assert got is True
+
+    @given(data=st.data(), order=st.integers(1, 12), b=B_LISTS)
+    @settings(max_examples=40, deadline=None)
+    def test_param_poly(self, data, order, b):
+        g = _param_g(b, order)
+        self._same_as_oracles(RiordanMatrix(data.draw(identity_f(g)), g))
+
+    def test_param_poly_order_24(self):
+        g = _param_g([1], 24)
+        for f in (one_series(24), g, S([1, F(1, 2), 3], 24)):
+            self._same_as_oracles(RiordanMatrix(f, g))
+
+    @pytest.mark.parametrize("which", ["f", "g", "both"])
+    def test_param_poly_constant_term(self, which):
+        # f(0) or g(0) = phi: the diagonal phi^2 is not 1, and the group
+        # inverse (which would divide by phi) is never formed
+        r = rna_series(8)
+        phi_head = Series([ParamPoly.param()] + list(r.coeffs[1:]), 8)
+        f, g = {"f": (phi_head, r), "g": (r, phi_head), "both": (phi_head, phi_head)}[which]
+        m = RiordanMatrix(f, g)
+        assert m.is_pseudo_involution() is False
+        assert is_pseudo_involution_product_oracle(m) is False
+
+    def test_bell_pair_makes_no_compose_call(self, monkeypatch):
+        bells = [
+            RiordanMatrix(g, g)
+            for g in (
+                rna_series(24),
+                from_b_sequence(S([1, F(1, 3), -2]), 24).g,
+                1 / S([1, -3], 24),
+                catalan(24),
+            )
+        ]
+        want = [is_pseudo_involution_product_oracle(m) for m in bells]
+        assert want == [True, True, True, False]
+        want_b = [_outcome(lambda: b_sequence_oracle(m)) for m in bells]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compose called")
+
+        monkeypatch.setattr(kernels, "compose", refuse)
+        assert [m.is_pseudo_involution() for m in bells] == want
+        assert [_outcome(m.b_sequence) for m in bells] == want_b
+
+    def test_bell_product_composes_once(self, monkeypatch):
+        calls = []
+        compose = kernels.compose
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return compose(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "compose", counted)
+        gs = [rna_series(12), catalan(12), 1 / S([1, -3], 12), S([1, F(1, 2), -2, 3], 12)]
+        for a in gs:
+            for b in gs:
+                for kind in (ORDINARY, EXPONENTIAL):
+                    left, right = RiordanMatrix(a, a, kind), RiordanMatrix(b, b, kind)
+                    calls.clear()
+                    prod = left * right
+                    assert len(calls) == 1
+                    assert prod.f == prod.g
+                    assert prod.triangle() == left.triangle().matmul(right.triangle())
+
+    @given(data=st.data(), order=st.integers(1, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_products_match_matmul(self, data, order):
+        kind = data.draw(st.sampled_from([ORDINARY, EXPONENTIAL]))
+        heads = st.sampled_from([1, -2, 3])
+        gs = [data.draw(ring_series(order, head=data.draw(heads))) for _ in range(2)]
+        left, right = [RiordanMatrix(data.draw(identity_f(g)), g, kind) for g in gs]
+        assert (left * right).triangle() == left.triangle().matmul(right.triangle())
 
 
 class TestOddPowerFamilies:
