@@ -135,11 +135,19 @@ def columns(a: list, n: int, beta=None, zero=ZERO) -> list:
     """The first ``n`` columns of c_0 = 1, c_m = a (w c_(m-1)) / m, as long
     as ``a``: w_s = 1 without ``beta`` (c_m = a^m / m!), w_s = beta + s with
     it (a = x b gives c_m = x b ((beta + xD) c_(m-1)) / m).  Rational
-    columns stay integers over one denominator, one gcd per column; for
-    a of valuation v, column m vanishes below row m v, so only its tail
-    is multiplied."""
+    columns are the integer pairs of ``_column_pairs``."""
     if type(zero) is not Fraction:
         return generic_columns(a, n, beta, zero)
+    return [_fractions(nums, den) for nums, den in _column_pairs(a, n, beta)]
+
+
+def _column_pairs(a: list, n: int, beta=None):
+    """The first ``n`` columns of ``columns`` on rational ``a``, each
+    yielded as a reduced integer pair (nums, den), one gcd per column; for
+    a of valuation v, column m vanishes below row m v, so only its tail
+    is multiplied."""
+    if n < 1:
+        return
     x, dx = _integers(a)
     size = len(a)
     v = 0  # the valuation of a
@@ -149,7 +157,7 @@ def columns(a: list, n: int, beta=None, zero=ZERO) -> list:
         x = x[v:]
     p, q = (1, 1) if beta is None else (beta.numerator, beta.denominator)
     nums, den = [1] + [0] * (size - 1), 1
-    cols = [_fractions(nums, den)]
+    yield nums, den
     for m in range(1, n):
         lo = m * v
         if lo >= size:
@@ -164,8 +172,7 @@ def columns(a: list, n: int, beta=None, zero=ZERO) -> list:
         den *= dx * q * m
         r = gcd(den, *nums)
         nums, den = [c // r for c in nums], den // r
-        cols.append(_fractions(nums, den))
-    return cols[:n]
+        yield nums, den
 
 
 def exp(a: list, n: int, zero=ZERO) -> list:

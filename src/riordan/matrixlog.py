@@ -15,6 +15,12 @@ column v is x b (xv)', so the columns follow
 c_m = x b ((beta + xD) c_{m-1}) / m with beta = 1, the ``columns``
 kernel on x b; ``composition_sum`` reads [x^n] (g^(phi))^beta off the
 same recurrence for any beta, from b alone.
+
+So two chains run from ``log_generator``: log_generator ->
+composition_matrix, and log_generator -> bell_log -> bell_power.  At a
+rational phi, ``bell_power`` needs only exp(phi log(g, xg)) e_0 =
+sum_m phi^m c_m, summed on the kernel's integer columns, with no
+composition matrix and no polynomial in phi.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from ._purekernels import _integers, _kronecker_mul
+from ._purekernels import _column_pairs, _integers, _kronecker_mul
 from .core import RiordanMatrix
-from .rings import ZERO, ParamPoly
+from .rings import ONE, ZERO, ParamPoly
 from .series import Series, _power_columns
 from .triangle import CompositionMatrix, Triangle
 
@@ -96,17 +102,21 @@ def log_generator(g: Series) -> Series:
     return Series([c * Fraction(1, cden) for c in col[1:]], n - 1)
 
 
-def bell_log(g: Series) -> Triangle:
-    """Matrix logarithm of (g, xg): entry (i, m) is (m+1) b_(i-m-1)."""
-    n = g.order
-    if n == 1:
+def _log_column(g: Series) -> Series:
+    """x b, column 0 of log(g, xg), to g's order; 0 at order 1."""
+    if g.order == 1:
         if g[0] != 1:
             raise ValueError("requires g with constant term 1")
-        return Triangle([[0]])
-    b = log_generator(g)
+        return Series([ZERO], 1)
+    return log_generator(g).shift_up(1, extend=True)
+
+
+def bell_log(g: Series) -> Triangle:
+    """Matrix logarithm of (g, xg): entry (i, m) is (m+1) b_(i-m-1)."""
+    xb = _log_column(g)
     return Triangle(
-        [[(m + 1) * b[i - m - 1] if i > m else ZERO for m in range(i + 1)]
-         for i in range(n)]
+        [[(m + 1) * xb[i - m] if i > m else ZERO for m in range(i + 1)]
+         for i in range(g.order)]
     )
 
 
@@ -114,10 +124,9 @@ def composition_matrix(g: Series) -> CompositionMatrix:
     """The matrix of composition polynomials of g.
 
     Column m is (1/m!) log(g, xg)^m e_0: the ``columns`` kernel with
-    beta = 1 on x b, column 0 of ``bell_log``.
+    beta = 1 on x b, from ``log_generator``.
     """
-    log = bell_log(g)
-    cols = _power_columns(log.column(0), log.nrows, 1)
+    cols = _power_columns(_log_column(g), g.order, 1)
     return CompositionMatrix(Triangle.from_columns(cols), g)
 
 
@@ -125,12 +134,41 @@ def bell_power(g: Series, phi) -> Series:
     """The series g^(phi) with (g, xg)^phi = (g^(phi), x g^(phi)).
 
     ``phi`` may be an exact rational or a symbol name (str), in which
-    case coefficients are polynomials in that parameter.
+    case coefficients are polynomials in that parameter, and g rational.
+
+    At a rational phi the result is sum_m phi^m c_m over the columns c_m
+    of ``composition_matrix``, read off x b, column 0 of ``bell_log``.
+    For rational g the sum runs on the integer columns of the kernel
+    over one running lcm, with one ``Fraction`` per coefficient.
     """
-    tri = composition_matrix(g).triangle
-    symbol = phi if isinstance(phi, str) else "phi"
-    power = Series([tri.row_poly(i, symbol) for i in range(tri.nrows)], tri.nrows)
-    return power if isinstance(phi, str) else power.eval_param(phi)
+    if not isinstance(phi, (int, Fraction)):
+        if not g.is_rational():
+            raise TypeError(
+                "bell_power with a symbolic phi needs rational g: ParamPoly"
+                " coefficients cannot nest"
+            )
+        tri = composition_matrix(g).triangle
+        symbol = phi if isinstance(phi, str) else "phi"
+        power = Series([tri.row_poly(i, symbol) for i in range(tri.nrows)], tri.nrows)
+        return power if isinstance(phi, str) else power.eval_param(phi)
+    n = g.order
+    xb = bell_log(g).column(0)
+    if not g.is_rational():
+        power, scale = [ZERO] * n, ONE
+        for col in _power_columns(xb, n, 1):
+            power = [s + scale * c for s, c in zip(power, col)]
+            scale *= phi
+        return Series(power, n)
+    p, q = phi.numerator, phi.denominator
+    acc, den = [0] * n, 1  # the partial sum, acc / den
+    pm, qm = 1, 1  # p^m, q^m
+    for nums, e in _column_pairs(xb.coeffs, n, 1):
+        d = e * qm  # phi^m c_m = pm nums / d
+        full = lcm(den, d)
+        a, t = full // den, pm * (full // d)
+        acc, den = [c * a + v * t for c, v in zip(acc, nums)], full
+        pm, qm = pm * p, qm * q
+    return Series([Fraction(c, den) for c in acc], n)
 
 
 def composition_sum(

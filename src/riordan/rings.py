@@ -5,9 +5,10 @@ Two coefficient rings are supported everywhere in this package:
 * ``Rational`` -- an alias for :class:`fractions.Fraction`.  Always kept
   in lowest terms; integers print without a denominator.
 * :class:`ParamPoly` -- a dense univariate polynomial over ``Rational``
-  in a single formal parameter.  The parameter has no value; ``symbol``
-  only affects rendering, so polynomials produced under different
-  display names (``phi``, ``beta``, ``x``) compare by coefficients.
+  in a single formal parameter.  The parameter has no value; ``symbol``,
+  an identifier, only affects rendering, so polynomials produced under
+  different display names (``phi``, ``beta``, ``x``) compare by
+  coefficients.
 
 No floating point is used anywhere.
 """
@@ -43,6 +44,8 @@ class ParamPoly:
     __slots__ = ("coeffs", "symbol")
 
     def __init__(self, coeffs=(), symbol: str = "phi"):
+        if not symbol.isidentifier():
+            raise ValueError(f"parameter symbol must be an identifier, got {symbol!r}")
         cs = [_as_fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()

@@ -29,7 +29,7 @@ from riordan import (
 from riordan._purekernels import _integers
 from riordan.bexpansion import _b_coeffs, _odd_mults, _odd_mults_cached, _sums_by_parts
 from riordan.core import _as_series
-from riordan.matrixlog import bell_log
+from riordan.matrixlog import bell_log, composition_matrix
 from riordan.series import _power_columns
 from riordan.rings import ONE, ZERO
 
@@ -216,6 +216,17 @@ def composition_matrix_oracle(g):
     Reference for ``composition_matrix``, which applies the log to a
     column as one series product."""
     return Triangle.from_columns(_scaled_powers(bell_log(g)))
+
+
+def bell_power_oracle(g, phi):
+    """g^(phi) as the rows of the composition matrix, each read as a
+    polynomial in phi and evaluated at phi by ``Fraction`` Horner (a
+    symbol name keeps the polynomials).  Reference for ``bell_power``,
+    which sums phi^m c_m over the integer columns c_m at a rational phi."""
+    tri = composition_matrix(g).triangle
+    symbol = phi if isinstance(phi, str) else "phi"
+    power = Series([tri.row_poly(i, symbol) for i in range(tri.nrows)], tri.nrows)
+    return power if isinstance(phi, str) else power.eval_param(phi)
 
 
 def pow_param_oracle(s, symbol="phi"):

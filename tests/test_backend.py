@@ -2,6 +2,7 @@
 coefficients, tested for exact equality against the generic loops."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,6 +192,14 @@ def exact(cols):
     return [[(type(c), getattr(c, "symbol", None), c) for c in col] for col in cols]
 
 
+def assert_reduced_pairs(pairs, cols):
+    """The integer pairs (nums, den) behind rational columns are reduced,
+    over a positive denominator, and read as ``Fraction`` give ``cols``."""
+    pairs = list(pairs)
+    assert all(den > 0 and gcd(den, *nums) == 1 for nums, den in pairs)
+    assert [[F(c, den) for c in nums] for nums, den in pairs] == cols
+
+
 @st.composite
 def column_operands(draw):
     """A length from 1 to 40, a coefficient list of that length (all
@@ -213,7 +222,9 @@ class TestColumns:
         a, n, beta = case
         got = kernels.columns(a, n, beta)
         assert len(got) == n
-        assert exact(got) == exact(kernels.generic_columns(a, n, beta))
+        want = kernels.generic_columns(a, n, beta)
+        assert exact(got) == exact(want)
+        assert_reduced_pairs(kernels._column_pairs(a, n, beta), want)
 
     @given(column_operands())
     @settings(max_examples=40, deadline=None)
@@ -243,6 +254,8 @@ class TestColumns:
         want = composition_columns_oracle(Series(b), n, beta)
         got = kernels.columns(([F(0)] + b)[:n], n, beta)
         assert exact(got) == exact(c.coeffs for c in want)
+        pairs = kernels._column_pairs(([F(0)] + b)[:n], n, beta)
+        assert_reduced_pairs(pairs, [list(c.coeffs) for c in want])
 
     @pytest.mark.parametrize("beta", [None, 1, F(-2, 3)])
     def test_param_coefficients(self, beta):

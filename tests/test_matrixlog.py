@@ -26,6 +26,7 @@ from riordan import (
 from conftest import (
     S,
     bell_log_oracle,
+    bell_power_oracle,
     composition_matrix_oracle,
     composition_sum_oracle,
     generic_log_generator,
@@ -35,6 +36,7 @@ from conftest import (
     rows_of,
     triangle_exp,
 )
+from riordan import matrixlog
 from riordan._backend import kernels
 from riordan.matrixlog import _integer_columns
 
@@ -446,6 +448,84 @@ class TestLogGeneratorColumns:
             assert _typed(log_generator(g)) == _typed(b)
 
 
+# rational phi, a bool among them: phi = True is phi = 1
+PHIS = [0, 1, -1, 2, F(1, 2), F(-2, 3), F(7, 5), True]
+
+
+def _typed_symbols(series):
+    """``_typed``, with the symbol of each ``ParamPoly`` coefficient."""
+    return series.order, [
+        (type(c), c, getattr(c, "symbol", None)) for c in series.coeffs
+    ]
+
+
+class TestBellPowerOracle:
+    """``bell_power`` against ``bell_power_oracle``, the former body that
+    evaluates the composition polynomials row by row: equal values of
+    equal types, to the same order."""
+
+    @given(
+        data=st.data(),
+        order=st.integers(1, 24),
+        phi=st.sampled_from(PHIS),
+        rings=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rational_phi(self, data, order, phi, rings):
+        strategy = ring_series(order, head=1) if rings else unit_series(order)
+        g = data.draw(strategy)
+        assert _typed(bell_power(g, phi)) == _typed(bell_power_oracle(g, phi))
+
+    @pytest.mark.parametrize(
+        "phi", ["t", "phi", ParamPoly.param("t"), ParamPoly([F(1, 2), 3], "s")],
+        ids=["str-t", "str-phi", "param", "param-affine"],
+    )
+    @pytest.mark.parametrize("order", [1, 2, 9])
+    def test_symbolic_phi(self, phi, order):
+        g = catalan(order)
+        got = _typed_symbols(bell_power(g, phi))
+        assert got == _typed_symbols(bell_power_oracle(g, phi))
+
+    def test_builds_no_composition_matrix_and_no_row_polynomial(self, monkeypatch):
+        gs = [rna_series(24), Series([1, F(1, 3)], 16).sqrt(), 1 / S([1, F(-1, 7)], 12)]
+        cases = [(g, phi) for g in gs for phi in PHIS]
+        want = [bell_power_oracle(g, phi) for g, phi in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rational bell_power left the integer columns")
+
+        monkeypatch.setattr(matrixlog, "composition_matrix", refuse)
+        monkeypatch.setattr(Triangle, "row_poly", refuse)
+        monkeypatch.setattr(Series, "eval_param", refuse)
+        for (g, phi), power in zip(cases, want):
+            assert _typed(bell_power(g, phi)) == _typed(power)
+
+    def test_call_chain(self, monkeypatch):
+        # bell_power reads x b off bell_log; composition_matrix does not
+        calls = []
+        log = matrixlog.bell_log
+
+        def counted(g):
+            calls.append(g.order)
+            return log(g)
+
+        monkeypatch.setattr(matrixlog, "bell_log", counted)
+        g = rna_series(12)
+        composition_matrix(g)
+        assert calls == []
+        bell_power(g, F(1, 2))
+        assert calls == [12]
+
+    def test_order_one(self):
+        assert bell_power(S([1], 1), F(7, 5)) == S([1], 1)
+        assert composition_matrix(S([1], 1)).triangle.rows == ((F(1),),)
+        for fn in (composition_matrix, bell_log, lambda g: bell_power(g, 2)):
+            with pytest.raises(ValueError, match="constant term 1"):
+                fn(S([2], 1))
+            with pytest.raises(ValueError, match="constant term 1"):
+                fn(S([2, 1], 4))
+
+
 def symbolic_g(order):
     """1 + t x + x^2 + x^3/2 + ..., coefficient k >= 2 equal to 1/(k-1)."""
     t = ParamPoly.param("t")
@@ -476,6 +556,20 @@ class TestSymbolicG:
         for t0 in T0:
             _same_series(b.eval_param(t0), log_generator(g.eval_param(t0)))
         assert bell_log(g).rows == bell_log_oracle(g).rows
+
+    @pytest.mark.parametrize("phi", PHIS)
+    def test_bell_power(self, order, phi):
+        g = symbolic_g(order)
+        got = bell_power(g, phi)
+        for t0 in T0:
+            want = bell_power(g.eval_param(t0), phi)
+            assert _typed(got.eval_param(t0)) == _typed(want)
+
+    @pytest.mark.parametrize("phi", ["phi", ParamPoly.param("phi")])
+    def test_bell_power_symbolic_phi(self, order, phi):
+        # the polynomials in phi would need coefficients in t
+        with pytest.raises(TypeError, match="cannot nest"):
+            bell_power(symbolic_g(order), phi)
 
     def test_composition_matrix(self, order):
         g = symbolic_g(order)

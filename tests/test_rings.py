@@ -5,7 +5,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from riordan import ParamPoly, binomial, falling_factorial, format_rational
+from riordan import (
+    ParamPoly,
+    Series,
+    Triangle,
+    b_expand,
+    bell_power,
+    binomial,
+    composition_sum,
+    falling_factorial,
+    format_rational,
+    power_poly,
+    rna_series,
+)
 
 rationals = st.fractions(
     min_value=-60, max_value=60, max_denominator=12
@@ -107,6 +119,39 @@ class TestArithmetic:
         # A default-symbol operand adopts the other operand's symbol.
         p = ParamPoly.const(2) * ParamPoly([0, 1], "beta")
         assert p.symbol == "beta"
+
+
+# a name that would render as a broken polynomial: (^3 + )*x^3, 2 x^3
+BAD_SYMBOLS = ["", "2 x", "a-b", "1", "phi^2"]
+
+
+@pytest.mark.parametrize("symbol", BAD_SYMBOLS)
+class TestSymbolIsIdentifier:
+    """Every route that names the parameter refuses a symbol that is no
+    identifier, as the CLI's ``--symbol`` does."""
+
+    def test_constructors(self, symbol):
+        for make in (
+            lambda: ParamPoly([1, 2], symbol),
+            lambda: ParamPoly.const(1, symbol),
+            lambda: ParamPoly.param(symbol),
+            lambda: ParamPoly([1]).with_symbol(symbol),
+        ):
+            with pytest.raises(ValueError, match="identifier"):
+                make()
+
+    def test_entry_points(self, symbol):
+        b = Series([1, 1], 6)
+        g = rna_series(6)
+        for make in (
+            lambda: bell_power(g, symbol),
+            lambda: b_expand(b, 3, symbol),
+            lambda: power_poly(b, 3, symbol=symbol),
+            lambda: composition_sum(b, 3, symbol),
+            lambda: Triangle([[1], [2, 3]]).row_poly(1, symbol),
+        ):
+            with pytest.raises(ValueError, match="identifier"):
+                make()
 
 
 class TestRingAxioms:
