@@ -138,14 +138,16 @@ def columns(a: list, n: int, beta=None, zero=ZERO) -> list:
     columns are the integer pairs of ``_column_pairs``."""
     if type(zero) is not Fraction:
         return generic_columns(a, n, beta, zero)
-    return [_fractions(nums, den) for nums, den in _column_pairs(a, n, beta)]
+    pairs = _column_pairs(a, n, beta)
+    return [[ZERO] * lo + _fractions(tail, den) for lo, tail, den in pairs]
 
 
 def _column_pairs(a: list, n: int, beta=None):
     """The first ``n`` columns of ``columns`` on rational ``a``, each
-    yielded as a reduced integer pair (nums, den), one gcd per column; for
-    a of valuation v, column m vanishes below row m v, so only its tail
-    is multiplied."""
+    yielded as (lo, tail, den): for a of valuation v, column m vanishes
+    above row lo = min(m v, len(a)), and below it reads tail / den, a
+    reduced integer pair, one gcd per column.  Only the tail is stored
+    and multiplied."""
     if n < 1:
         return
     x, dx = _integers(a)
@@ -153,26 +155,22 @@ def _column_pairs(a: list, n: int, beta=None):
     v = 0  # the valuation of a
     while v < size and not x[v]:
         v += 1
-    if v:
-        x = x[v:]
+    x = x[v:]
     p, q = (1, 1) if beta is None else (beta.numerator, beta.denominator)
-    nums, den = [1] + [0] * (size - 1), 1
-    yield nums, den
+    tail, den = [1] + [0] * (size - 1), 1
+    yield 0, tail, den
     for m in range(1, n):
         lo = m * v
         if lo >= size:
-            nums = [0] * size
-        else:
-            tail = nums[lo - v:] if v else nums
-            if beta is not None:
-                tail = [(p + s * q) * c for s, c in enumerate(tail, lo - v)]
-            nums = _kronecker_mul(x, tail, size - lo)
-            if lo:
-                nums = [0] * lo + nums
+            yield size, [], 1
+            continue
+        if beta is not None:
+            tail = [(p + s * q) * c for s, c in enumerate(tail, lo - v)]
+        tail = _kronecker_mul(x, tail, size - lo)
         den *= dx * q * m
-        r = gcd(den, *nums)
-        nums, den = [c // r for c in nums], den // r
-        yield nums, den
+        r = gcd(den, *tail)
+        tail, den = [c // r for c in tail], den // r
+        yield lo, tail, den
 
 
 def exp(a: list, n: int, zero=ZERO) -> list:
@@ -423,26 +421,24 @@ def generic_columns(a: list, n: int, beta=None, zero=ZERO) -> list:
 
 def generic_exp(a: list, n: int, zero=ZERO) -> list:
     """``exp`` in ring arithmetic."""
-    out = [zero + 1]
-    for k in range(1, n):
-        acc = zero
-        for j in range(1, k + 1):
-            aj = a[j]
-            if aj:
-                acc = acc + (j * aj) * out[k - j]
-        out.append(acc / k)
-    return out
+    return _generic_miller(a, n, 1, 0, zero)
 
 
 def generic_power(a: list, n: int, e, zero=ZERO) -> list:
     """``power`` in ring arithmetic; ``e`` may be a ``ParamPoly``."""
-    e1 = e + 1
+    return _generic_miller(a, n, e + 1, 1, zero)
+
+
+def _generic_miller(a: list, n: int, u, v: int, zero) -> list:
+    """w_0 = 1, w_k = (1/k) sum_(j=1..k) (u j - v k) a_j w_(k-j) in ring
+    arithmetic, the twin of ``_miller``: ``exp`` is u = 1, v = 0 and the
+    power a^e is u = e + 1, v = 1."""
     out = [zero + 1]
     for k in range(1, n):
         acc = zero
         for j in range(1, k + 1):
             aj = a[j]
             if aj:
-                acc = acc + (e1 * j - k) * aj * out[k - j]
+                acc = acc + (u * j - v * k) * aj * out[k - j]
         out.append(acc / k)
     return out

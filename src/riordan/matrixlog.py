@@ -5,7 +5,8 @@ truncation.  Everything here derives, in one direction, from the log
 generator b: ``log_generator`` checks g(0) = 1, sums column 0 of
 log(g, xg) as sum_{p>=1} (-1)^(p-1)/p K^p e_0 over g's full order and
 divides it by x, in one loop for both coefficient rings (K read off
-integer columns of (g, xg) for rational g, with no triangle).
+the ``columns`` kernel on x g, whose column m + 1 is (xg)^(m+1)/(m+1)!,
+with no triangle).
 ``bell_log`` fills log(g, xg) = (b(x), x) D^T, entry
 (i, m) = (m+1) b_(i-m-1) (Jabotinsky, "Analytic iteration", Trans. AMS
 1963); and ``composition_matrix`` has column
@@ -14,7 +15,8 @@ interpolate the coefficients of g^(phi).  Applying (b, x) D^T to a
 column v is x b (xv)', so the columns follow
 c_m = x b ((beta + xD) c_{m-1}) / m with beta = 1, the ``columns``
 kernel on x b; ``composition_sum`` reads [x^n] (g^(phi))^beta off the
-same recurrence for any beta, from b alone.
+same recurrence for any beta, from b alone.  Every column of the
+matrix log, K's included, comes from that one kernel recurrence.
 
 So two chains run from ``log_generator``: log_generator ->
 composition_matrix, and log_generator -> bell_log -> bell_power.  At a
@@ -29,28 +31,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from ._purekernels import _column_pairs, _integers, _kronecker_mul
-from .core import RiordanMatrix
+from ._purekernels import _column_pairs
 from .rings import ONE, ZERO, ParamPoly
 from .series import Series, _power_columns
 from .triangle import CompositionMatrix, Triangle
-
-
-def _integer_columns(g: Series) -> list[tuple[list, int]]:
-    """The n = g.order columns of (g, xg) for rational g as reduced
-    integer pairs (P_m, e_m), g^(m+1) = P_m / e_m to n - m terms: column
-    m - 1 times g's numerators, one Kronecker product, then one gcd.  So
-    e_m is the lcm of column m's own denominators, not one for all."""
-    n = g.order
-    y, dy = _integers(g.coeffs)
-    nums, den = y, dy
-    cols = [(y, dy)]
-    for m in range(1, n):
-        nums, den = _kronecker_mul(nums, y, n - m), den * dy
-        r = gcd(den, *nums)
-        nums, den = [c // r for c in nums], den // r
-        cols.append((nums, den))
-    return cols
 
 
 def log_generator(g: Series) -> Series:
@@ -62,12 +46,17 @@ def log_generator(g: Series) -> Series:
     K = (g, xg) - I.  The diagonal of (g, xg) is 1 and cancels, so K is
     the strictly lower part of the triangle, and the entries of K^p e_0
     below index p vanish and are skipped.  K^p e_0 and the partial sum
-    are each a vector over one integer denominator.  For rational g, K
-    is P_m[i - m] (den / e_m) over den = lcm(e_m), read off the columns
-    P_m / e_m of ``_integer_columns`` with no ``Fraction``, and both
-    vectors are reduced by one gcd each per p; for ``ParamPoly`` g the
-    rows are the triangle's ring elements over denominator 1.  b has
-    order n - 1, so g needs g(0) = 1 and order n >= 2."""
+    are each a vector over one integer denominator.  K is read off the
+    ``columns`` kernel on x g to n + 1 terms, with no triangle: column
+    m + 1 is (xg)^(m+1)/(m+1)!, so K[i][m] = (m+1)! [x^(i+1)] c_(m+1).
+    For rational g that column is the reduced integer pair tail / e of
+    ``_column_pairs``.  With r = gcd((m+1)!, e) the pair
+    (tail (m+1)!/r, e/r) is reduced too, and K is tail[i - m] times one
+    integer scale per column over den = lcm(e/r), with no ``Fraction``;
+    both vectors are reduced by one gcd each per p.  For ``ParamPoly``
+    g the columns are ring elements over denominator 1, and K's column 0
+    is g itself, in g's own coefficient types.  b has order n - 1, so g
+    needs g(0) = 1 and order n >= 2."""
     if g[0] != 1:
         raise ValueError("requires g with constant term 1")
     n = g.order
@@ -75,11 +64,20 @@ def log_generator(g: Series) -> Series:
         raise ValueError(f"log_generator needs g to order at least 2, got order {n}")
     rational = g.is_rational()
     if rational:
-        cols = _integer_columns(g)
-        den = lcm(*[e for _, e in cols])
-        k = [[cols[m][0][i - m] * (den // cols[m][1]) for m in range(i)] for i in range(n)]
+        pairs = _column_pairs([ZERO, *g.coeffs], n + 1)
     else:
-        den, k = 1, [row[:-1] for row in RiordanMatrix(g, g).triangle().rows]
+        xg = g.shift_up(1, extend=True)
+        pairs = [(j, c[j:], 1) for j, c in enumerate(_power_columns(xg, n + 1))]
+        pairs[1] = (1, g.coeffs, 1)  # x g, in g's own coefficient types
+    cols, f = [], 1  # column m + 1 as (tail, (m+1)!/r, e/r)
+    for j, (_, tail, e) in enumerate(pairs):
+        if j:
+            f *= j
+            r = gcd(f, e)
+            cols.append((tail, f // r, e // r))
+    den = lcm(*[e for _, _, e in cols])
+    scales = [f * (den // e) for _, f, e in cols]
+    k = [[cols[m][0][i - m] * scales[m] for m in range(i)] for i in range(n)]
     vec, vden = [1] + [0] * (n - 1), 1  # K^p e_0 = vec / vden
     col, cden = [0] * n, 1  # the partial sum, col / cden
     for p in range(1, n):
@@ -162,11 +160,12 @@ def bell_power(g: Series, phi) -> Series:
     p, q = phi.numerator, phi.denominator
     acc, den = [0] * n, 1  # the partial sum, acc / den
     pm, qm = 1, 1  # p^m, q^m
-    for nums, e in _column_pairs(xb.coeffs, n, 1):
-        d = e * qm  # phi^m c_m = pm nums / d
+    for lo, tail, e in _column_pairs(xb.coeffs, n, 1):
+        d = e * qm  # phi^m c_m = pm tail / d below row lo
         full = lcm(den, d)
         a, t = full // den, pm * (full // d)
-        acc, den = [c * a + v * t for c, v in zip(acc, nums)], full
+        head = [c * a for c in acc[:lo]]
+        acc, den = head + [c * a + v * t for c, v in zip(acc[lo:], tail)], full
         pm, qm = pm * p, qm * q
     return Series([Fraction(c, den) for c in acc], n)
 

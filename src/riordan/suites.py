@@ -249,16 +249,16 @@ def _section9(order: int) -> list[CheckResult]:
     ]
     for label, b in cases:
         mat = bcomp_matrix(b, min(order, 11))
-        ok = all(
-            bcomp_row_from_convolutions(b, n) == mat.row_poly(n)
-            for n in range(mat.nrows)
-        )
-        rec.check(f"u-poly-rows-{label}", ok)
-        ok = all(
-            power_poly(b, n, 1, "beta").coeffs == b_expand(b, n, "phi").coeffs
-            for n in range(min(order, 11))
-        )
-        rec.check(f"u-beta-at-1-{label}", ok)
+        bad = [
+            n for n in range(mat.nrows)
+            if bcomp_row_from_convolutions(b, n) != mat.row_poly(n)
+        ]
+        rec.check(f"u-poly-rows-{label}", not bad, f"rows {bad}" if bad else "")
+        bad = [
+            n for n in range(min(order, 11))
+            if power_poly(b, n, 1, "beta").coeffs != b_expand(b, n, "phi").coeffs
+        ]
+        rec.check(f"u-beta-at-1-{label}", not bad, f"n = {bad}" if bad else "")
     # Example 9.2: coefficients of R^2 from the beta-polynomial
     r = rna_series(order)
     r2 = r * r

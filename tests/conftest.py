@@ -26,7 +26,7 @@ from riordan import (
     odd_partitions,
     one_series,
 )
-from riordan._purekernels import _integers
+from riordan._purekernels import _integers, _kronecker_mul
 from riordan.bexpansion import _b_coeffs, _odd_mults, _odd_mults_cached, _sums_by_parts
 from riordan.core import _as_series
 from riordan.matrixlog import bell_log, composition_matrix
@@ -93,12 +93,31 @@ def generic_log_generator(g: Series) -> Series:
     return Series(col[1:], n - 1)
 
 
+def integer_columns_oracle(g: Series) -> list[tuple[list, int]]:
+    """The n = g.order columns of (g, xg) for rational g as reduced
+    integer pairs (P_m, e_m), g^(m+1) = P_m / e_m to n - m terms: column
+    m - 1 times g's numerators, one Kronecker product, then one gcd.  So
+    e_m is the lcm of column m's own denominators, not one for all.
+    The former column loop of ``log_generator``, which now reads
+    (m+1)! c_(m+1) off the ``columns`` kernel on x g."""
+    n = g.order
+    y, dy = _integers(g.coeffs)
+    nums, den = y, dy
+    cols = [(y, dy)]
+    for m in range(1, n):
+        nums, den = _kronecker_mul(nums, y, n - m), den * dy
+        r = gcd(den, *nums)
+        nums, den = [c // r for c in nums], den // r
+        cols.append((nums, den))
+    return cols
+
+
 def log_generator_oracle(g: Series) -> Series:
     """The former ``log_generator``: the integer mat-vec loop on K read
     off the ``Fraction`` triangle of (g, g), every entry turned back
     into an integer over the lcm of its denominators.  Reference for
-    ``log_generator``, which reads K's rows off ``_integer_columns``
-    for rational g."""
+    ``log_generator``, which reads K's rows off the ``columns`` kernel
+    on x g."""
     if g[0] != 1:
         raise ValueError("requires g with constant term 1")
     n = g.order

@@ -193,11 +193,14 @@ def exact(cols):
 
 
 def assert_reduced_pairs(pairs, cols):
-    """The integer pairs (nums, den) behind rational columns are reduced,
-    over a positive denominator, and read as ``Fraction`` give ``cols``."""
+    """The integer pairs (lo, tail, den) behind rational columns are
+    reduced, over a positive denominator, and read as ``Fraction`` give
+    ``cols``: zeros in the rows above lo, tail / den from row lo on."""
     pairs = list(pairs)
-    assert all(den > 0 and gcd(den, *nums) == 1 for nums, den in pairs)
-    assert [[F(c, den) for c in nums] for nums, den in pairs] == cols
+    assert len(pairs) == len(cols)
+    assert all(den > 0 and gcd(den, *tail) == 1 for _, tail, den in pairs)
+    assert all(not any(col[:lo]) for (lo, _, _), col in zip(pairs, cols))
+    assert [[F(0)] * lo + [F(c, den) for c in tail] for lo, tail, den in pairs] == cols
 
 
 @st.composite
@@ -241,7 +244,12 @@ class TestColumns:
         a, n, beta = case
         a = ([F(0)] * v + a)[:len(a)]
         got = kernels.columns(a, n, beta)
-        assert exact(got) == exact(kernels.generic_columns(a, n, beta))
+        want = kernels.generic_columns(a, n, beta)
+        assert exact(got) == exact(want)
+        pairs = list(kernels._column_pairs(a, n, beta))
+        assert_reduced_pairs(pairs, want)
+        valuation = Series(a).valuation()
+        assert [lo for lo, _, _ in pairs] == [min(m * valuation, len(a)) for m in range(n)]
         want = power_columns_oracle(Series(a), max(n, 1))[:n]
         assert exact(kernels.columns(a, n)) == exact(c.coeffs for c in want)
 

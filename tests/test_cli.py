@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import RNA_BCOMP_ROWS, RNA_MATRIX_ROWS, T
 from riordan import BCOMP_ROWS_LIMIT, PARTITION_N_LIMIT
-from riordan import cli
+from riordan import cli, suites
 from riordan.cli import CHECK_ORDER_MIN, MATRIX_LOG_N_LIMIT, TRIANGLE_ROWS_LIMIT, main
 from riordan.exprparse import EXPR_EXPONENT_LIMIT
 from riordan.exprparse import EvalError, ParseError, eval_expr, parse_expr
@@ -368,6 +368,18 @@ class TestCheck:
         assert all(
             line.split()[1].startswith("lemma21.") for line in lines[:-1]
         )
+
+    def test_failed_check_exits_1_with_its_detail(self, capsys, monkeypatch):
+        # a broken dissection triangle fails theorem71's row unfolding
+        real = suites.dissection_matrix
+        monkeypatch.setattr(suites, "dissection_matrix", lambda rows: real(rows).scale(2))
+        code, out, _ = run(capsys, "check", "--suite", "theorem71")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "FAIL theorem71.row-unfold-n0  (entry (1,1))"
+        passed, total = map(int, lines[-1].removesuffix(" checks passed").split("/"))
+        assert lines[-1] == f"{passed}/{total} checks passed"
+        assert total == len(lines) - 1 and passed < total
 
     def test_requires_suite_or_all(self, capsys):
         code, _, err = run(capsys, "check")

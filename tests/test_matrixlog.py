@@ -1,7 +1,7 @@
 """Matrix logarithms and parametric powers of Bell pairs (g, xg)."""
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +30,7 @@ from conftest import (
     composition_matrix_oracle,
     composition_sum_oracle,
     generic_log_generator,
+    integer_columns_oracle,
     log_generator_oracle,
     riordan_triangle_oracle,
     ring_series,
@@ -38,7 +39,6 @@ from conftest import (
 )
 from riordan import matrixlog
 from riordan._backend import kernels
-from riordan.matrixlog import _integer_columns
 
 F = Fraction
 
@@ -399,11 +399,25 @@ class TestLogGeneratorOracle:
             log_generator(rna_series(5).truncate(1))
 
 
+def kernel_integer_columns(g):
+    """The columns (P_m, e_m) of (g, xg) as ``log_generator`` reads them
+    off ``_column_pairs`` on x g: (m+1)! c_(m+1) = tail (m+1)!/r over
+    e/r with r = gcd((m+1)!, e), under the zero rows above lo."""
+    n = g.order
+    out = []
+    for j, (lo, tail, e) in enumerate(kernels._column_pairs([F(0), *g.coeffs], n + 1)):
+        if j:
+            f = factorial(j)
+            r = gcd(f, e)
+            out.append(([0] * (lo - j) + [c * (f // r) for c in tail], e // r))
+    return out
+
+
 class TestLogGeneratorColumns:
-    """``log_generator``, whose K reads the integer columns of (g, xg)
-    for rational g, against the former body on the ``Fraction``
-    triangle and against ``generic_log_generator``: equal coefficients
-    of equal types, to the same order (``ParamPoly`` g is
+    """``log_generator``, whose K reads the ``columns`` kernel on x g,
+    against the former body on the ``Fraction`` triangle and against
+    ``generic_log_generator``: equal coefficients of equal types, to the
+    same order (``ParamPoly`` g is
     ``TestLogGeneratorOracle.test_b_composition_power``)."""
 
     @given(data=st.data(), order=st.integers(2, 20))
@@ -417,11 +431,13 @@ class TestLogGeneratorColumns:
     @given(data=st.data(), order=st.integers(1, 16))
     @settings(max_examples=100, deadline=None)
     def test_column_denominators_are_graded(self, data, order):
-        # e_m is the lcm of the reduced denominators of column m alone,
-        # not one denominator shared by every column
+        # (m+1)! c_(m+1) off the kernel is the former column loop's
+        # pair (P_m, e_m), pair for pair; e_m is the lcm of the reduced
+        # denominators of column m alone, not one shared by every column
         g = data.draw(ring_series(order))
+        cols = kernel_integer_columns(g)
+        assert cols == integer_columns_oracle(g)
         tri = riordan_triangle_oracle(RiordanMatrix(g, g))
-        cols = _integer_columns(g)
         assert len(cols) == order
         for m, (nums, e) in enumerate(cols):
             assert len(nums) == order - m
@@ -431,21 +447,45 @@ class TestLogGeneratorColumns:
         # column m of (1/(1-x/3), x/(1-x/3)) to 8 rows reads
         # C(m+k, k)/3^k for k < 8 - m, so its denominator divides
         # 3^(7-m); one shared denominator would be 3^7 on every column
-        dens = [e for _, e in _integer_columns(1 / S([1, F(-1, 3)], 8))]
+        g = 1 / S([1, F(-1, 3)], 8)
+        cols = kernel_integer_columns(g)
+        assert cols == integer_columns_oracle(g)
+        dens = [e for _, e in cols]
         assert dens[0] == 3**7 and dens[-1] == 1
         assert all(3 ** (7 - m) % e == 0 for m, e in enumerate(dens))
 
     def test_rational_g_builds_no_triangle_and_no_series_product(self, monkeypatch):
-        gs = [rna_series(24), 1 / S([1, F(-1, 1000)], 24), Series([1, 1], 24).sqrt()]
+        # nor does a ParamPoly g: its K comes off the same kernel
+        gs = [
+            rna_series(24),
+            1 / S([1, F(-1, 1000)], 24),
+            Series([1, 1], 24).sqrt(),
+            symbolic_g(12),
+        ]
         want = [log_generator_oracle(g) for g in gs]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("rational log_generator left the integer columns")
+            raise AssertionError("log_generator left the kernel columns")
 
         monkeypatch.setattr(RiordanMatrix, "triangle", refuse)
+        monkeypatch.setattr(Triangle, "__init__", refuse)
         monkeypatch.setattr(kernels, "mul", refuse)
         for g, b in zip(gs, want):
             assert _typed(log_generator(g)) == _typed(b)
+
+    @pytest.mark.parametrize(
+        "cs",
+        [[1, F(1, 2), "t", F(1, 3)], [1, 0, "t"], [1, 0, 2, "t", 0, F(1, 3)]],
+        ids=["half", "flat", "sparse"],
+    )
+    def test_param_g_keeps_rational_coefficient_types(self, cs):
+        # a ParamPoly g may hold Fraction coefficients; K's column 0 is
+        # g itself, so b_0 = g_1 keeps its type, as in the former body
+        t = ParamPoly.param("t")
+        g = Series([t if c == "t" else F(c) for c in cs], len(cs))
+        got = _typed(log_generator(g))
+        assert got == _typed(log_generator_oracle(g))
+        assert log_generator(g) == generic_log_generator(g)
 
 
 # rational phi, a bool among them: phi = True is phi = 1

@@ -85,6 +85,8 @@ class TestShapeOperations:
         assert list(s.truncate(2).coeffs) == [1, 2]
         assert s.pad_zeros(5).order == 5
         assert list(s.pad_zeros(5).coeffs) == [1, 2, 3, 0, 0]
+        with pytest.raises(ValueError, match="cannot extend order 3 to 4"):
+            s.truncate(4)
 
     def test_shift_up_drops_head_by_default(self):
         s = Series([1, 2, 3], 3)
@@ -103,6 +105,8 @@ class TestShapeOperations:
         assert list(s.shift_down(1).coeffs) == [1, 2]
         with pytest.raises(ValueError):
             Series([1, 1], 2).shift_down(1)
+        with pytest.raises(ValueError, match="would leave an empty series"):
+            Series([0, 0], 2).shift_down(2)
 
     def test_alternate_flips_odd_signs(self):
         s = Series([1, 2, 3, 4], 4)
@@ -190,6 +194,8 @@ class TestCalculus:
     def test_derivative(self):
         s = S([5, 1, 3, 2], 4)
         assert list(s.derivative().coeffs) == [1, 6, 6]
+        with pytest.raises(ValueError, match="derivative of an order-1 series"):
+            S([5]).derivative()
 
     def test_integral(self):
         s = S([1, 1], 2)
@@ -422,3 +428,5 @@ class TestPowParamOracle:
     def test_pow_param_names_itself(self):
         with pytest.raises(ValueError, match="^pow_param requires constant term 1$"):
             Series([2, 1], 4).pow_param()
+        with pytest.raises(ValueError, match="needs purely rational coefficients"):
+            Series([1, ParamPoly.param("t")], 4).pow_param()

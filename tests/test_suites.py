@@ -87,3 +87,48 @@ class TestFailureReporting:
         assert r.detail == ""
         with pytest.raises(Exception):
             r.passed = False  # frozen dataclass
+
+
+def _doubled(fn):
+    return lambda *args: 2 * fn(*args)
+
+
+def _halved_factorization(cls):
+    """``RiordanMatrix`` whose square-root factorization returns 2s for s."""
+
+    class Broken(cls):
+        def sqrt_factorization(self):
+            h, s = super().sqrt_factorization()
+            return h, 2 * s
+
+    return Broken
+
+
+# (suite, name in riordan.suites, what breaks the route it checks)
+BROKEN_ROUTES = [
+    ("lemma21", "RiordanMatrix", _halved_factorization),
+    ("theorem22", "RiordanMatrix", _halved_factorization),
+    ("theorem42", "narayana", _doubled),
+    ("lemma41", "narayana", _doubled),
+    ("theorem61", "dissection_poly", _doubled),
+    ("theorem71", "dissection_matrix", lambda fn: lambda rows: fn(rows).scale(2)),
+    ("theorem72", "is_appell_type", lambda fn: lambda b, order: not fn(b, order)),
+    ("theorem81", "exp_lagrange_diagonal", _doubled),
+    ("section9", "bcomp_row_from_convolutions", _doubled),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, name, breaker", BROKEN_ROUTES, ids=[s for s, _, _ in BROKEN_ROUTES]
+)
+def test_a_broken_route_fails_with_a_detail(monkeypatch, suite, name, breaker):
+    # each suite reports a wrong result as a failed check that says
+    # where it differs, not as an exception
+    names = [r.name for r in run_suite(suite, 12)]
+    monkeypatch.setattr(suites_mod, name, breaker(getattr(suites_mod, name)))
+    results = run_suite(suite, 12)
+    assert [r.name for r in results] == names
+    failed = [r for r in results if not r.passed]
+    assert failed
+    assert all(r.detail for r in failed), failed
+    assert all(r.detail == "" for r in results if r.passed)
